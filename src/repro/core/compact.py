@@ -40,6 +40,14 @@ def encoding_bits(m: int) -> int:
     return (layout_count(m) - 1).bit_length()
 
 
+def default_group_level(w: int, max_level: int) -> int:
+    """The paper's ``m = max(5, #merges)``, shrunk to fit a ``w``-slot row."""
+    group_level = max(5, max_level)
+    while (1 << group_level) > w:
+        group_level -= 1
+    return group_level
+
+
 class CompactLayout:
     """Appendix-A group encoding with the MergeBitLayout interface.
 
@@ -69,9 +77,7 @@ class CompactLayout:
         if w < 1 or w & (w - 1):
             raise ValueError(f"w must be a positive power of two, got {w}")
         if group_level is None:
-            group_level = max(5, max_level)
-            while (1 << group_level) > w:
-                group_level -= 1
+            group_level = default_group_level(w, max_level)
         if max_level > group_level:
             raise ValueError(
                 f"max_level {max_level} exceeds group_level {group_level}"
@@ -101,7 +107,8 @@ class CompactLayout:
             n -= 1
         return 0
 
-    def _levels_array(self, x: int, n: int) -> list[int]:
+    @staticmethod
+    def _levels_array(x: int, n: int) -> list[int]:
         """Expand a layout number into one level per slot."""
         if n == 0:
             return [0]
@@ -109,17 +116,20 @@ class CompactLayout:
             return [n] * (1 << n)
         half = layout_count(n - 1)
         left, right = divmod(x, half)
-        return self._levels_array(left, n - 1) + self._levels_array(right, n - 1)
+        return (CompactLayout._levels_array(left, n - 1)
+                + CompactLayout._levels_array(right, n - 1))
 
-    def _encode(self, levels: list[int], n: int) -> int:
+    @staticmethod
+    def _encode(levels: list[int], n: int) -> int:
         """Layout number of a block given one level per slot."""
         if n == 0:
             return 0
         if levels[0] == n:
             return layout_count(n) - 1
         half = 1 << (n - 1)
-        return (self._encode(levels[:half], n - 1) * layout_count(n - 1)
-                + self._encode(levels[half:], n - 1))
+        return (CompactLayout._encode(levels[:half], n - 1)
+                * layout_count(n - 1)
+                + CompactLayout._encode(levels[half:], n - 1))
 
     # -- MergeBitLayout-compatible interface ----------------------------
     def level_of(self, j: int) -> int:

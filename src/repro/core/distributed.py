@@ -275,15 +275,19 @@ class DistributedSketch:
         With several workers, locals are serialized and deserialized
         first -- the coordinator only ever sees the wire format,
         exactly as a real deployment would -- then folded with
-        :func:`repro.core.ops.merge`.  A single worker *is* the
+        :func:`repro.core.ops.merge`.  Each blob is loaded with its
+        worker's row engine, so vector-engine workers decode straight
+        into arrays and merge on the bulk path, and the result is
+        backed by the workers' engine.  A single worker *is* the
         coordinator: its sketch is returned directly (shared, not
         copied), with no pointless wire round-trip.
         """
         if len(self.locals) == 1:
             return self.locals[0]
-        total = loads(dumps(self.locals[0]))
+        first = self.locals[0]
+        total = loads(dumps(first), engine=first.engine_name)
         for local in self.locals[1:]:
-            ops.merge(total, loads(dumps(local)))
+            ops.merge(total, loads(dumps(local), engine=local.engine_name))
         return total
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -37,7 +37,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bitvec import BitArray
-from repro.core.compact import CompactLayout, encoding_bits
+from repro.core.compact import (
+    CompactLayout,
+    default_group_level,
+    encoding_bits,
+)
 from repro.core.layout import MergeBitLayout
 
 #: Layout encodings (accounting identities shared by every engine).
@@ -86,9 +90,7 @@ def field_fits(value: int, width: int, signed: bool) -> bool:
 def _compact_overhead_bits(w: int, max_level: int) -> int:
     """Appendix-A overhead for a ``w``-slot row, without building the
     layout (the vector engine charges it while storing no such code)."""
-    group_level = max(5, max_level)
-    while (1 << group_level) > w:
-        group_level -= 1
+    group_level = default_group_level(w, max_level)
     return (w >> group_level) * encoding_bits(group_level)
 
 
@@ -268,8 +270,8 @@ class BitPackedEngine(RowEngine):
     """The bit-exact reference engine: ``BitArray`` + merge-bit layout.
 
     This is the original ``SalsaRow`` storage, extracted verbatim; its
-    buffers are also the serialization wire format every engine round-
-    trips through (see :mod:`repro.core.serialize`).
+    buffers are also the serialization wire format, which the vector
+    engine encodes from its arrays (see :mod:`repro.core.serialize`).
     """
 
     name = "bitpacked"

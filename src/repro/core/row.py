@@ -325,21 +325,6 @@ class SalsaRow:
             self.engine.write_block(start, level, value)
         return level, start
 
-    def _force_level(self, start: int, level: int) -> None:
-        """Coarsen the layout to (start, level) without touching values
-        (they are about to be overwritten; serialization import path)."""
-        lv, st = self.engine.locate(start)
-        while lv < level:
-            lv, st = self.engine.merge_up(st, lv)
-
-    def import_counters(self, counters) -> None:
-        """Rebuild this (empty) row from decoded ``(start, level,
-        value)`` triples -- the engine-independent interchange form."""
-        for start, level, value in counters:
-            if level:
-                self._force_level(start, level)
-            self.engine.write_block(start, level, value)
-
     def scale_down_half(self, rng=None) -> None:
         """Halve every counter (AEE downsampling).
 

@@ -11,6 +11,7 @@ from repro.core import (
     SalsaCountSketch,
     shard,
 )
+from repro.core.serialize import dumps
 from repro.hashing import mix64
 from repro.tasks import HierarchicalHeavyHitters, dotted
 from repro.streams import zipf_trace
@@ -128,6 +129,23 @@ class TestDistributedSketch:
                                        engine=engine)
                 single.update_many(trace)
             self._assert_counters_equal(combined, single)
+
+    @pytest.mark.parametrize("engine", ["bitpacked", "vector"])
+    def test_combined_keeps_the_workers_engine(self, engine):
+        """The coordinator loads each blob with its worker's engine, so
+        the merged sketch is backed by that engine -- and its bytes
+        equal the whole-stream sketch's (sum-merge CMS)."""
+        trace = zipf_trace(20_000, 1.1, universe=2_000, seed=14)
+        dist = DistributedSketch(self._engine_factory(engine), workers=4,
+                                 d=4, seed=14)
+        dist.feed(shard(trace, 4, seed=14))
+        combined = dist.combined()
+        assert combined.engine_name == engine
+        assert {row.engine.name for row in combined.rows} == {engine}
+        single = SalsaCountMin(w=512, d=4, s=8, merge="sum",
+                               hash_family=dist.family, engine=engine)
+        single.update_many(trace)
+        assert dumps(combined) == dumps(single)
 
     def test_feed_batched_fork_pool_equals_serial(self):
         """jobs > 1 ships worker sketches back over the wire format;
