@@ -126,20 +126,31 @@ def _check_engine(args) -> str | None:
 
 def _load(path: str):
     """Load a trace from ``.npz`` or ``.flows`` by extension."""
-    if path.endswith(".flows"):
-        return load_flows_as_trace(path)
-    return load_trace(path)
+    try:
+        if path.endswith(".flows"):
+            return load_flows_as_trace(path)
+        return load_trace(path)
+    except OSError as exc:
+        raise SystemExit(
+            f"error: cannot read trace {path!r}: {exc.strerror or exc}"
+        ) from None
 
 
 def _parse_memory(text: str) -> int:
     """``64K``/``2M``/plain-bytes memory sizes."""
-    text = text.strip().upper()
+    size = text.strip().upper()
     factor = 1
-    if text.endswith("K"):
-        factor, text = 1024, text[:-1]
-    elif text.endswith("M"):
-        factor, text = 1024 * 1024, text[:-1]
-    return int(float(text) * factor)
+    if size.endswith("K"):
+        factor, size = 1024, size[:-1]
+    elif size.endswith("M"):
+        factor, size = 1024 * 1024, size[:-1]
+    try:
+        return int(float(size) * factor)
+    except (ValueError, OverflowError):
+        raise SystemExit(
+            f"error: --memory expects bytes or a K/M size such as 64K, "
+            f"got {text!r}"
+        ) from None
 
 
 # ----------------------------------------------------------------------

@@ -75,23 +75,17 @@ def shard(trace: Trace, workers: int, policy: str = HASH,
 
 
 def _ingest(sketch, piece: Trace, batch_size: int | None) -> None:
-    """Feed one shard through a sketch's best available door.
+    """Feed one shard through the sketch's ``update_many`` batch door.
 
-    ``batch_size=None`` hands the whole shard to ``update_many`` in one
-    call; a positive size chunks it (bounded scratch arrays).  Sketches
-    without a batch door take the per-item loop.
+    ``batch_size=None`` hands the whole shard over in one call; a
+    positive size chunks it (bounded scratch arrays).
     """
-    if hasattr(sketch, "update_many"):
-        if batch_size is None:
-            sketch.update_many(piece.items)
-        else:
-            update_many = sketch.update_many
-            for chunk in piece.chunks(batch_size):
-                update_many(chunk)
-    else:
-        update = sketch.update
-        for x in piece:
-            update(x)
+    if batch_size is None:
+        sketch.update_many(piece.items)
+        return
+    update_many = sketch.update_many
+    for chunk in piece.chunks(batch_size):
+        update_many(chunk)
 
 
 #: Closure state inherited by fork()ed feed workers; never pickled
@@ -156,18 +150,9 @@ class DistributedSketch:
         """Route a batch of updates to one worker's local sketch.
 
         Goes through the sketch's own ``update_many`` (bit-identical to
-        per-item by the batch contract); sketches without a batch door
-        take the per-item loop.
+        per-item by the batch contract).
         """
-        sketch = self.locals[worker]
-        if hasattr(sketch, "update_many"):
-            sketch.update_many(items, values)
-            return
-        from repro.sketches.base import as_batch
-
-        items, values = as_batch(items, values)
-        for x, v in zip(items.tolist(), values.tolist()):
-            sketch.update(x, v)
+        self.locals[worker].update_many(items, values)
 
     def _check_shards(self, shards: list[Trace]) -> None:
         if len(shards) != len(self.locals):
@@ -178,8 +163,8 @@ class DistributedSketch:
         """Feed one shard per worker (lengths must match).
 
         Each shard goes through its sketch's ``update_many`` batch
-        pipeline when the sketch has one -- same final state as the
-        per-item loop (the batch contract), a large multiple faster.
+        pipeline -- same final state as the per-item loop (the batch
+        contract), a large multiple faster.
         """
         self._check_shards(shards)
         for sketch, piece in zip(self.locals, shards):

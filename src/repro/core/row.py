@@ -160,9 +160,6 @@ class SalsaRow:
         """int64 array of values of the counters containing each slot."""
         return self.engine.read_many(idxs)
 
-    def _write_block(self, start: int, level: int, value: int) -> None:
-        self.engine.write_block(start, level, value)
-
     def _block_values(self, start: int, level: int) -> list[int]:
         """Values of all live counters inside ``[start, start + 2^level)``."""
         engine = self.engine

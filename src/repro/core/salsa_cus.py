@@ -121,7 +121,7 @@ class SalsaConservativeUpdate(BatchOpsMixin):
                 "SALSA CUS is a Cash Register sketch; batch contains a "
                 "non-positive value"
             )
-        if not batch_sum_fits(values) or self.hashes.uses_bobhash:
+        if not batch_sum_fits(values):
             BatchOpsMixin.update_many(self, items, values)
             return
         items, values = collapse_runs(items, values)
@@ -232,8 +232,6 @@ class SalsaConservativeUpdate(BatchOpsMixin):
 
     def query_many(self, items) -> list:
         """Batched query: one hash call per row, duplicate keys deduped."""
-        if self.hashes.uses_bobhash:
-            return BatchOpsMixin.query_many(self, items)
 
         def row_values(row_id, uniq):
             idxs = self.hashes.index_many(uniq, row_id, self.w)

@@ -225,12 +225,6 @@ class TangoRow:
     # ------------------------------------------------------------------
     # field access
     # ------------------------------------------------------------------
-    def _read_span(self, left: int, right: int) -> int:
-        return self.engine.read_span(left, right)
-
-    def _write_span(self, left: int, right: int, value: int) -> None:
-        self.engine.write_span(left, right, value)
-
     def read(self, j: int) -> int:
         """Value of the counter containing slot ``j``."""
         return self.engine.read(j)

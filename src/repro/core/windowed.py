@@ -96,14 +96,8 @@ class WindowedSketch:
             if self._in_epoch >= self.epoch:
                 self.rotate()
             take = min(self.epoch - self._in_epoch, n - pos)
-            chunk_items = items[pos:pos + take]
-            chunk_values = values[pos:pos + take]
-            if hasattr(self.current, "update_many"):
-                self.current.update_many(chunk_items, chunk_values)
-            else:
-                update = self.current.update
-                for x, v in zip(chunk_items.tolist(), chunk_values.tolist()):
-                    update(x, v)
+            self.current.update_many(items[pos:pos + take],
+                                     values[pos:pos + take])
             self._in_epoch += take
             self.n += take
             pos += take
@@ -131,17 +125,12 @@ class WindowedSketch:
 
     def query_many(self, items) -> list:
         """Window estimates for a batch: current plus previous epoch,
-        through each resident sketch's ``query_many`` when available."""
+        through each resident sketch's ``query_many``."""
         items, _ = as_batch(items)
-
-        def _query(sketch):
-            if hasattr(sketch, "query_many"):
-                return list(sketch.query_many(items))
-            return [sketch.query(x) for x in items.tolist()]
-
-        totals = _query(self.current)
+        totals = list(self.current.query_many(items))
         if self.previous is not None:
-            totals = [a + b for a, b in zip(totals, _query(self.previous))]
+            totals = [a + b for a, b in
+                      zip(totals, self.previous.query_many(items))]
         return totals
 
     def query_current_epoch(self, item: int) -> float:

@@ -102,13 +102,10 @@ def run_updates_batched(sketch, trace, batch_size: int = 4096) -> dict[int, int]
     """Feed the whole trace through ``update_many`` in chunks.
 
     Lands the sketch in a state bit-identical to :func:`run_updates`
-    (the batch API's contract); sketches without ``update_many`` fall
-    back to the per-item loop.
+    (the batch API's contract).
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if not hasattr(sketch, "update_many"):
-        return run_updates(sketch, trace)
     update_many = sketch.update_many
     for chunk in trace.chunks(batch_size):
         update_many(chunk)
@@ -124,7 +121,7 @@ def throughput_mops(sketch, trace, batch_size: int | None = None) -> float:
     excluded from the timed region, mirroring how the per-item variant
     excludes ``list(trace)``.
     """
-    if batch_size is not None and batch_size > 1 and hasattr(sketch, "update_many"):
+    if batch_size is not None and batch_size > 1:
         chunks = list(trace.chunks(batch_size))
         update_many = sketch.update_many
         start = time.perf_counter()

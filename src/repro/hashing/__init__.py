@@ -4,14 +4,16 @@ The paper's implementations all use BobHash (Bob Jenkins' lookup3) with
 per-row seeds, plus an extra pairwise-independent sign hash for Count
 Sketch.  We provide:
 
-* :func:`bobhash` -- a faithful lookup3 ``hashlittle`` over bytes.
-* :func:`mix64` -- the splitmix64 finalizer, used as a fast integer
-  mixer for the common case of integer-keyed streams.
+* :func:`bobhash` -- a faithful lookup3 ``hashlittle`` over bytes;
+  :class:`HashFamily` uses it for ``bytes`` keys.
+* :func:`mix64` -- the splitmix64 finalizer, the one hash path for
+  integer keys (scalar and batched forms are bit-identical).
 * :class:`HashFamily` -- d seeded hash functions producing row indices
   in ``[0, w)`` (w a power of two, as in the paper's implementation)
-  and +/-1 signs.
+  and +/-1 signs.  Its only settings are ``d`` and ``seed``.
 * :class:`TabulationHash` / :class:`TabulationFamily` -- provably
-  3-independent simple tabulation, the hash ablation's reference point.
+  3-independent simple tabulation, the hash ablation's reference point,
+  with the same scalar and batched (``raw_many``/``raw_matrix``) API.
 * :func:`murmur3_32` / :func:`murmur3_64` -- MurmurHash3, the hash used
   by Spark's CountMinSketch [52].
 

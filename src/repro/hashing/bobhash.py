@@ -5,10 +5,12 @@ they compare against) use.  We implement the 32-bit ``hashlittle``
 variant over byte strings, processing 12-byte blocks with the
 ``mix``/``final`` rounds from lookup3.c.
 
-The pure-Python version is slow relative to the integer mixer in
-:mod:`repro.hashing.family`, so the sketches default to the mixer and
-expose BobHash as an opt-in for fidelity tests.  Both pass the same
-uniformity checks in ``tests/test_hashing.py``.
+In this library BobHash hashes ``bytes`` keys only:
+:meth:`repro.hashing.HashFamily.raw` routes a ``bytes`` key here and
+every integer key through the splitmix64 mixer in
+:mod:`repro.hashing.family`.  There is no switch that sends integer
+keys through BobHash.  Both hashes pass the same uniformity checks in
+``tests/test_hashing.py``.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Simple tabulation hashing.
 
-The library's default mixer (splitmix64) is fast but only empirically
-strong; BobHash matches the paper's implementation.  Tabulation hashing
-(Zobrist / Patrascu-Thorup) is the *provably* 3-independent member of
+The library's integer hash (splitmix64) is fast but only empirically
+strong; BobHash, the paper's hash, covers ``bytes`` keys.  Tabulation
+hashing (Zobrist / Patrascu-Thorup) is the *provably* 3-independent member of
 the family -- enough independence for Chernoff-style concentration in
 chaining and linear probing, and a useful reference point for the hash
 ablation bench (``ablation_hashing``): if a sketch's error changes
@@ -11,14 +11,33 @@ problem, not the sketch.
 
 A :class:`TabulationHash` splits a 64-bit key into 8 bytes and XORs 8
 table lookups: ``T_0[b_0] ^ T_1[b_1] ^ ... ^ T_7[b_7]``, each table
-holding 256 random 64-bit words.
+holding 256 random 64-bit words.  :class:`TabulationFamily` keeps its
+rows' tables as one ``(d, 8, 256)`` uint64 array as well, so the
+batched :meth:`~TabulationFamily.raw_many` and
+:meth:`~TabulationFamily.raw_matrix` are 8 vectorized gathers XORed
+together, element-wise equal to the scalar :meth:`~TabulationFamily.raw`.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_BYTE_SHIFTS = np.arange(0, 64, 8, dtype=np.uint64)
+
+
+def _tabulate(tables: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """Tabulation hashes of an int64 batch under ``(r, 8, 256)`` tables,
+    as an ``(r, n)`` uint64 matrix (one row per table set)."""
+    keys = items.view(np.uint64)
+    key_bytes = ((keys[None, :] >> _BYTE_SHIFTS[:, None])
+                 & np.uint64(0xFF)).astype(np.intp)
+    out = tables[:, 0, key_bytes[0]]
+    for i in range(1, 8):
+        out ^= tables[:, i, key_bytes[i]]
+    return out
 
 
 class TabulationHash:
@@ -68,7 +87,7 @@ class TabulationHash:
 class TabulationFamily:
     """``d`` independent tabulation functions (drop-in for
     :class:`~repro.hashing.HashFamily` in sketches that only use
-    ``index``/``sign``/``indexes``).
+    ``index``/``sign``/``indexes``/``raw_many``/``raw_matrix``).
 
     Examples
     --------
@@ -77,7 +96,7 @@ class TabulationFamily:
     3
     """
 
-    __slots__ = ("d", "seed", "_functions")
+    __slots__ = ("d", "seed", "_functions", "_tables")
 
     def __init__(self, d: int, seed: int = 0):
         if d < 1:
@@ -86,10 +105,24 @@ class TabulationFamily:
         self.seed = seed
         self._functions = [TabulationHash(seed * 1009 + row)
                            for row in range(d)]
+        self._tables = np.array([f._tables for f in self._functions],
+                                dtype=np.uint64)
 
     def raw(self, item: int, row: int) -> int:
         """Raw 64-bit hash for ``row``."""
         return self._functions[row](item)
+
+    def raw_many(self, items: np.ndarray, row: int) -> np.ndarray:
+        """Raw hashes of an int64 batch for ``row``, as a uint64 array;
+        element-wise identical to :meth:`raw`."""
+        return _tabulate(self._tables[row:row + 1], items)[0]
+
+    def raw_matrix(self, items: np.ndarray,
+                   rows: int | None = None) -> np.ndarray:
+        """Raw hashes of a batch for all rows: a ``(rows, n)`` uint64
+        matrix whose row ``r`` equals :meth:`raw_many` ``(items, r)``."""
+        d = self.d if rows is None else rows
+        return _tabulate(self._tables[:d], items)
 
     def index(self, item: int, row: int, w: int) -> int:
         """Row index of ``item`` in a width-``w`` row."""

@@ -23,10 +23,10 @@ import random
 from array import array
 
 from repro.hashing import HashFamily, mix64
-from repro.sketches.base import StreamModel, width_for_memory
+from repro.sketches.base import BatchOpsMixin, StreamModel, width_for_memory
 
 
-class AeeSketch:
+class AeeSketch(BatchOpsMixin):
     """AEE-augmented Count-Min sketch with small fixed counters.
 
     Parameters

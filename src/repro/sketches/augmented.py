@@ -23,13 +23,13 @@ stacks the filter on both the baseline CMS and SALSA CMS.
 
 from __future__ import annotations
 
-from repro.sketches.base import StreamModel
+from repro.sketches.base import BatchOpsMixin, StreamModel
 
 #: Bytes per filter slot: 8-byte key plus two 4-byte counts.
 SLOT_BYTES = 16
 
 
-class AugmentedSketch:
+class AugmentedSketch(BatchOpsMixin):
     """Exact top-``k`` filter over any frequency sketch.
 
     Parameters

@@ -31,7 +31,8 @@ class ColdFilter(BatchOpsMixin):
     w1:
         Stage-1 filter width (power of two).
     stage2:
-        Any frequency sketch (CUS or SALSA CUS in the paper).
+        Any frequency sketch with the batch door (``update_many`` /
+        ``query_many``); CUS or SALSA CUS in the paper.
     d1:
         Stage-1 hash count (authors' default 3).
     stage1_bits:
@@ -135,16 +136,13 @@ class ColdFilter(BatchOpsMixin):
             return
         if int(values.min()) < 1:
             raise ValueError("Cold Filter is a Cash Register framework")
-        if self.hashes.uses_bobhash:
-            BatchOpsMixin.update_many(self, items, values)
-            return
         idx2d = self.hashes.index_matrix(items, self.w1, self.d1)
         stage1_view = np.frombuffer(self.stage1, dtype=np.int64)
         threshold = self.threshold
         saturated = (stage1_view[idx2d] == threshold).all(axis=0)
         if saturated.all():
             # Pure pass-through: every arrival spills unchanged.
-            self._spill_many(items, values)
+            self.stage2.update_many(items, values)
             return
         stage1 = self.stage1
         spill_items: list[int] = []
@@ -169,24 +167,11 @@ class ColdFilter(BatchOpsMixin):
             spill_items.append(item)
             spill_values.append(total - threshold)
         if spill_items:
-            self._spill_many(np.asarray(spill_items, dtype=np.int64),
-                             np.asarray(spill_values, dtype=np.int64))
-
-    def _spill_many(self, items: np.ndarray, values: np.ndarray) -> None:
-        """Route an ordered spill stream into stage 2, batched when the
-        stage-2 sketch has a batch door."""
-        update_many = getattr(self.stage2, "update_many", None)
-        if update_many is not None:
-            update_many(items, values)
-            return
-        update = self.stage2.update
-        for x, v in zip(items.tolist(), values.tolist()):
-            update(x, v)
+            self.stage2.update_many(np.asarray(spill_items, dtype=np.int64),
+                                    np.asarray(spill_values, dtype=np.int64))
 
     def query_many(self, items) -> list:
         """Batched query: stage-1 gather + stage-2 batch query."""
-        if self.hashes.uses_bobhash:
-            return BatchOpsMixin.query_many(self, items)
         items, _ = as_batch(items)
         if len(items) == 0:
             return []
@@ -196,14 +181,8 @@ class ColdFilter(BatchOpsMixin):
         hot = est >= self.threshold
         out = est.astype(object)
         if hot.any():
-            hot_items = uniq[hot]
-            query_many = getattr(self.stage2, "query_many", None)
-            if query_many is not None:
-                stage2_est = query_many(hot_items)
-            else:
-                stage2_est = [self.stage2.query(x)
-                              for x in hot_items.tolist()]
-            out[hot] = [self.threshold + e for e in stage2_est]
+            out[hot] = [self.threshold + e
+                        for e in self.stage2.query_many(uniq[hot])]
         else:
             out = est
         return out[inverse].tolist()

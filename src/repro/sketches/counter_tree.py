@@ -25,10 +25,10 @@ from __future__ import annotations
 from array import array
 
 from repro.hashing import HashFamily
-from repro.sketches.base import StreamModel
+from repro.sketches.base import BatchOpsMixin, StreamModel
 
 
-class CounterTree:
+class CounterTree(BatchOpsMixin):
     """Two-layer counter tree with online decoding.
 
     Parameters

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 
 from repro.hashing import mix64
-from repro.sketches.base import StreamModel
+from repro.sketches.base import BatchOpsMixin, StreamModel
 
 _FP_BITS = 12
 _SMALL_CAP = (1 << 8) - 1
@@ -38,7 +38,7 @@ class _Entry:
         self.wide = wide
 
 
-class CuckooCounter:
+class CuckooCounter(BatchOpsMixin):
     """Two-choice cuckoo table of exact flow counters.
 
     Parameters

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 
 from repro.hashing import HashFamily
-from repro.sketches.base import StreamModel
+from repro.sketches.base import BatchOpsMixin, StreamModel
 
 
 class MorrisCounter:
@@ -84,7 +84,7 @@ class MorrisCounter:
         return self.exponent >= self._max_exponent
 
 
-class MorrisCountMin:
+class MorrisCountMin(BatchOpsMixin):
     """Count-Min Sketch whose counters are Morris exponents.
 
     The "small probabilistic counters" end of the design space: each of

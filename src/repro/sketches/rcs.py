@@ -23,10 +23,10 @@ from __future__ import annotations
 import random
 
 from repro.hashing import HashFamily
-from repro.sketches.base import StreamModel
+from repro.sketches.base import BatchOpsMixin, StreamModel
 
 
-class RandomizedCounterSharing:
+class RandomizedCounterSharing(BatchOpsMixin):
     """RCS with a flat counter pool and CSM sum estimation.
 
     Parameters

@@ -187,8 +187,6 @@ class UnivMon(BatchOpsMixin):
 
     def query_many(self, items) -> list:
         """Batched frequency estimates from the level-0 sketch."""
-        if not hasattr(self.sketches[0], "query_many"):
-            return BatchOpsMixin.query_many(self, items)
         return self.sketches[0].query_many(items)
 
     # ------------------------------------------------------------------

@@ -8,10 +8,10 @@ It costs no memory and is the fastest possible sketch.
 
 from __future__ import annotations
 
-from repro.sketches.base import StreamModel
+from repro.sketches.base import BatchOpsMixin, StreamModel
 
 
-class ZeroSketch:
+class ZeroSketch(BatchOpsMixin):
     """Estimates every frequency as zero."""
 
     model = StreamModel.CASH_REGISTER

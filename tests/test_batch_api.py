@@ -23,11 +23,18 @@ from repro.core.row import COMPACT, SUM, SalsaRow
 from repro.hashing import HashFamily, mix64, mix64_many
 from repro.sketches import (
     AbcSketch,
+    AeeSketch,
+    AugmentedSketch,
     ConservativeUpdateSketch,
+    CounterTree,
     CountMinSketch,
     CountSketch,
+    CuckooCounter,
     MisraGries,
+    MorrisCountMin,
+    RandomizedCounterSharing,
     SpaceSaving,
+    ZeroSketch,
 )
 from repro.sketches.base import (
     BatchFrequencySketch,
@@ -66,6 +73,15 @@ FACTORIES = {
                   True),
     "salsa-aee": (lambda: SalsaAeeCountMin(w=64, d=4, s=8, seed=3), True),
     "tango": (lambda: TangoCountMin(w=256, d=4, s=8, seed=3), True),
+    # Per-item sketches: the BatchOpsMixin default loop is their door.
+    "zero": (lambda: ZeroSketch(), True),
+    "aee": (lambda: AeeSketch(w=64, d=4, seed=3), True),
+    "morris": (lambda: MorrisCountMin(w=64, d=4, seed=3), True),
+    "rcs": (lambda: RandomizedCounterSharing(m=256, seed=3), True),
+    "augmented": (lambda: AugmentedSketch(
+        CountMinSketch(w=256, d=4, seed=3), k=8), True),
+    "cuckoo": (lambda: CuckooCounter(buckets=64, seed=3), True),
+    "counter-tree": (lambda: CounterTree(w=256, seed=3), True),
 }
 
 
@@ -222,42 +238,9 @@ def test_hash_family_batched_ops_match_scalar():
     for row in range(4):
         raws = family.raw_many(items, row).tolist()
         idxs = family.index_many(items, row, 256).tolist()
-        signs = family.sign_many(items, row).tolist()
-        for x, raw, idx, sign in zip(items.tolist(), raws, idxs, signs):
+        for x, raw, idx in zip(items.tolist(), raws, idxs):
             assert raw == family.raw(x, row)
             assert idx == family.index(x, row, 256)
-            assert sign == family.sign(x, row)
-
-
-def test_bobhash_families_keep_batch_per_item_parity():
-    """Sketches hash inline with mix64, so BobHash-backed families must
-    route the batch API through the exact per-item fallback."""
-    rng = np.random.default_rng(21)
-    items = rng.integers(0, 100, 800).astype(np.int64)
-    for make in (
-        lambda: CountMinSketch(w=128, d=3,
-                               hash_family=HashFamily(3, seed=4,
-                                                      use_bobhash=True)),
-        lambda: SalsaCountMin(w=128, d=3, s=8,
-                              hash_family=HashFamily(3, seed=4,
-                                                     use_bobhash=True)),
-    ):
-        reference, batched = make(), make()
-        _feed_per_item(reference, items, None)
-        _feed_batched(batched, items, None)
-        probe = sorted(set(items.tolist()))
-        expected = [reference.query(x) for x in probe]
-        assert [batched.query(x) for x in probe] == expected
-        assert batched.query_many(probe) == expected
-
-
-def test_hash_family_batched_ops_match_bobhash():
-    family = HashFamily(d=2, seed=7, use_bobhash=True)
-    items = np.arange(20, dtype=np.int64)
-    for row in range(2):
-        assert family.raw_many(items, row).tolist() == [
-            family.raw(x, row) for x in items.tolist()
-        ]
 
 
 def test_aggregate_batch_sums_duplicates():

@@ -28,6 +28,23 @@ class TestParseMemory:
     def test_fractional(self):
         assert _parse_memory("0.5K") == 512
 
+    @pytest.mark.parametrize("text", ["12Q", "K", "", "inf"])
+    def test_unparseable_is_cli_error(self, text):
+        with pytest.raises(SystemExit, match="^error: --memory"):
+            _parse_memory(text)
+
+
+@pytest.mark.parametrize("command", ["run", "speed", "topk", "window"])
+class TestBadInputs:
+    @pytest.mark.parametrize("name", ["absent.npz", "absent.flows"])
+    def test_missing_trace_file(self, tmp_path, command, name):
+        with pytest.raises(SystemExit, match="^error: cannot read trace"):
+            main([command, str(tmp_path / name)])
+
+    def test_unparseable_memory(self, npz_trace, command):
+        with pytest.raises(SystemExit, match="^error: --memory"):
+            main([command, npz_trace, "--memory", "12Q"])
+
 
 class TestGenerate:
     def test_zipf_npz(self, tmp_path, capsys):

@@ -9,13 +9,13 @@ state, heap contents, carry layers, and spill streams -- and
 ``query_many`` must agree with per-item ``query`` to the bit.  The
 streams include duplicates, weighted updates, deletions where the
 model supports them, and the exact-fallback triggers (clamp risks,
-BobHash families, unsaturated filters).
+unsaturated filters).
 """
 
 import numpy as np
 import pytest
 
-from repro.hashing import HashFamily
+from repro.hashing import TabulationFamily
 from repro.sketches import (
     ColdFilter,
     ConservativeUpdateSketch,
@@ -263,28 +263,22 @@ def test_coldfilter_saturated_fast_door():
     assert a.query(5) == b.query(5)
 
 
-def test_bobhash_injection_takes_exact_fallback():
-    """A BobHash-keyed family must route the batch door through the
-    per-item fallback (the kernels only vectorize mix64 hashing)."""
+def test_nitro_on_tabulation_family_batch_matches_per_item():
+    """The hash ablation swaps a TabulationFamily into NitroSketch; its
+    batch doors hash through the family's raw_many/raw_matrix and must
+    stay bit-identical to the per-item walk."""
     rng = np.random.default_rng(21)
     items = rng.integers(0, 100, 600).astype(np.int64)
-    nitro = lambda: NitroSketch(
-        w=64, d=3, p=0.5, seed=4,
-        hash_family=HashFamily(3, seed=4, use_bobhash=True))
-    a, b = nitro(), nitro()
-    _feed_per_item(a, items, None)
-    _feed_batched(b, items, None)
-    assert np.array_equal(a._rows, b._rows)
-    for make in (lambda: PyramidSketch(w1=32, d=3, seed=4),
-                 lambda: ColdFilter(
-                     w1=64, stage2=CountMinSketch(w=64, d=3, seed=5),
-                     d1=3, seed=4)):
-        a, b = make(), make()
-        a.hashes = HashFamily(a.hashes.d, seed=4, use_bobhash=True)
-        b.hashes = HashFamily(b.hashes.d, seed=4, use_bobhash=True)
-        _feed_per_item(a, items, None)
-        _feed_batched(b, items, None)
-        probe = sorted(set(items.tolist()))
+    values = rng.integers(-3, 4, 600).astype(np.int64)
+    for p in (0.5, 1.0):
+        nitro = lambda: NitroSketch(
+            w=64, d=3, p=p, seed=4,
+            hash_family=TabulationFamily(3, seed=4))
+        a, b = nitro(), nitro()
+        _feed_per_item(a, items, values)
+        _feed_batched(b, items, values)
+        assert np.array_equal(a._rows, b._rows)
+        probe = sorted(set(items.tolist())) + [-7, 10**12]
         assert b.query_many(probe) == [a.query(x) for x in probe]
 
 

@@ -1,5 +1,6 @@
 """Tests for tabulation hashing and the MurmurHash3 port."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +85,18 @@ class TestTabulation:
         fam = TabulationFamily(d=3, seed=9)
         idx = fam.indexes(12345, 1 << 16)
         assert len(set(idx)) > 1  # rows hash differently
+
+    def test_family_batched_raw_matches_scalar(self):
+        fam = TabulationFamily(d=3, seed=4)
+        items = np.random.default_rng(1).integers(
+            -(1 << 63), (1 << 63) - 1, 200, dtype=np.int64)
+        matrix = fam.raw_matrix(items)
+        assert matrix.shape == (3, 200)
+        assert fam.raw_matrix(items, 2).tolist() == matrix[:2].tolist()
+        for row in range(3):
+            expected = [fam.raw(x, row) for x in items.tolist()]
+            assert fam.raw_many(items, row).tolist() == expected
+            assert matrix[row].tolist() == expected
 
     def test_family_drop_in_for_sketches(self):
         """Sketches that hash through the family API accept a

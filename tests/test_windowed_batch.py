@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import SalsaCountMin, WindowedSketch
 from repro.sketches import CountMinSketch
+from repro.sketches.base import BatchOpsMixin
 from repro.streams import zipf_trace
 
 
@@ -95,11 +96,11 @@ class TestEpochBoundaries:
             ref.update(x, v)
         _assert_equivalent(win, ref, items.tolist())
 
-    def test_sketch_without_batch_door_falls_back(self):
-        """Factories may build sketches lacking ``update_many``; the
-        per-item fallback still splits at the right indices."""
+    def test_mixin_default_door_splits_at_epochs(self):
+        """A sketch whose batch door is the ``BatchOpsMixin`` per-item
+        loop still sees each batch split at the right indices."""
 
-        class PlainCounter:
+        class PlainCounter(BatchOpsMixin):
             def __init__(self):
                 self.counts = {}
 
