@@ -195,7 +195,8 @@ class RowEngine:
         all pass the merge-free check, and a boolean mask over the
         ``w >> max_level`` superblocks marks the *dirty* ones (left
         completely untouched; the caller replays their updates in
-        stream order).  Returns ``None`` when everything applied.
+        stream order through :meth:`add_ordered`).  Returns ``None``
+        when everything applied.
         ``apply=False`` computes the mask without writing anything.
         """
         plan = self.plan_add_batch(idxs, values)
@@ -215,6 +216,18 @@ class RowEngine:
     def apply_plan(self, plan: "BatchPlan") -> None:
         """Write a plan's clean-superblock deltas (dirty untouched)."""
         raise NotImplementedError
+
+    def add_ordered(self, idxs, deltas, add) -> None:
+        """Add int64 array ``deltas`` to the counters containing the
+        slots ``idxs``, in stream order, calling the policy layer's
+        ``add(j, v)`` for every update that could merge, saturate or
+        clamp.
+
+        The default calls ``add`` for every update -- the reference
+        per-item walk, which the bit-packed engine keeps.
+        """
+        for j, v in zip(idxs.tolist(), deltas.tolist()):
+            add(j, v)
 
     # -- sketch algebra (ops.merge / ops.subtract) ----------------------
     def counters_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -438,6 +451,12 @@ class VectorRowEngine(RowEngine):
         self.levels = np.zeros(w, dtype=np.int64)
         self.starts = np.arange(w, dtype=np.int64)
         self.values = np.zeros(w, dtype=np.int64 if signed else np.uint64)
+        # Largest magnitude a counter of each level holds: 2^(width-1)
+        # - 1 (sign-magnitude) or 2^width - 1, capped at what the int64
+        # / uint64 storage holds (a row may allow wider levels).
+        self._limit = np.array(
+            [(1 << (min(s << level, 64) - signed)) - 1
+             for level in range(max_level + 1)], dtype=np.uint64)
 
     # -- layout queries -------------------------------------------------
     def locate(self, j: int) -> tuple[int, int]:
@@ -494,6 +513,40 @@ class VectorRowEngine(RowEngine):
         return self.values[idxs].astype(np.int64, copy=False)
 
     # -- bulk -----------------------------------------------------------
+    def _room(self, cur, levels):
+        """``(up, down)``: how far counters holding ``cur`` at
+        ``levels`` may rise or fall and still fit their fields.
+
+        Exact uint64, never wrapped: an unsigned counter may hold
+        ``2^64 - 1`` and a signed one ``+-(2^63 - 1)``, so the true
+        rooms lie in ``[0, 2^64 - 2]`` and uint64 arithmetic on the
+        two's-complement bits of ``cur`` yields them exactly.
+        """
+        limit = self._limit[levels]
+        if self.signed:
+            cur = cur.astype(np.uint64)
+            return limit - cur, limit + cur
+        return limit - cur, cur
+
+    def _fits_many(self, cur, delta, levels) -> np.ndarray:
+        """Vectorized :func:`field_fits` of ``cur + delta`` for int64
+        deltas (the sum itself is never formed)."""
+        up, down = self._room(cur, levels)
+        return (np.abs(delta).astype(np.uint64)
+                <= np.where(delta >= 0, up, down))
+
+    @staticmethod
+    def _group(starts):
+        """Stable sort by counter start: ``(order, sorted_starts,
+        head)``, ``head`` flagging each counter's first entry in sorted
+        order (the ``np.add.reduceat`` segment heads)."""
+        order = np.argsort(starts, kind="stable")
+        s_sorted = starts[order]
+        head = np.empty(s_sorted.size, dtype=bool)
+        head[0] = True
+        np.not_equal(s_sorted[1:], s_sorted[:-1], out=head[1:])
+        return order, s_sorted, head
+
     def _batch_plan(self, idxs, values):
         """Aggregate a batch per live counter and run the merge-free
         check; returns ``(ustarts, net, ok)`` arrays (one entry per
@@ -516,46 +569,35 @@ class VectorRowEngine(RowEngine):
         else:
             # Huge-magnitude batches: sort + segmented sums, an
             # int64-exact groupby.
-            order = np.argsort(starts, kind="stable")
-            s_sorted = starts[order]
-            v_sorted = vals[order]
-            head = np.empty(s_sorted.size, dtype=bool)
-            head[0] = True
-            np.not_equal(s_sorted[1:], s_sorted[:-1], out=head[1:])
+            order, s_sorted, head = self._group(starts)
             first = np.flatnonzero(head)
             ustarts = s_sorted[first]
-            net = np.add.reduceat(v_sorted, first)
-            mag = np.add.reduceat(np.abs(v_sorted), first)
-        widths = (self.s << self.levels[ustarts]).astype(np.uint64)
+            net = np.add.reduceat(vals[order], first)
+            mag = np.add.reduceat(amag[order], first)
+        up, down = self._room(self.values[ustarts], self.levels[ustarts])
+        mag_u = mag.astype(np.uint64)
         if self.signed:
             # |cur +- mag| must stay within the sign-magnitude bound.
-            bound = ((np.uint64(1) << (widths - np.uint64(1)))
-                     - np.uint64(1)).astype(np.int64)
-            cur = self.values[ustarts]
-            ok = (cur <= bound - mag) & (cur >= mag - bound)
+            ok = mag_u <= np.minimum(up, down)
         else:
-            # limit = 2^width - 1 without overflowing uint64 at width 64.
-            half = (np.uint64(1) << (widths - np.uint64(1))) - np.uint64(1)
-            limit = half * np.uint64(2) + np.uint64(1)
-            mag_u = mag.astype(np.uint64)
-            cur = self.values[ustarts]
-            ok = (mag_u <= limit) & (cur <= limit - mag_u)
             # A negative delta clamps at zero in the per-item path, so
             # summation would not be equivalent there.
-            ok &= net == mag
+            ok = (mag_u <= up) & (net == mag)
         return ustarts, net, ok
 
     def _apply_plan(self, ustarts, net) -> None:
         """Vectorized scatter-add of per-counter deltas, propagated
         across each merged block (values stay duplicated)."""
         add_vals = net if self.signed else net.astype(np.uint64)
-        blk_levels = self.levels[ustarts]
-        for lv in np.unique(blk_levels).tolist():
-            sel = blk_levels == lv
-            st = ustarts[sel]
-            dv = add_vals[sel]
-            for off in range(1 << lv):
-                self.values[st + off] += dv
+        sizes = np.left_shift(1, self.levels[ustarts])
+        ends = np.cumsum(sizes)
+        if ends.size and ends[-1] > ustarts.size:
+            # Expand each counter to its block's slots (blocks of live
+            # counters are disjoint, so no slot repeats).
+            ustarts = (np.repeat(ustarts - (ends - sizes), sizes)
+                       + np.arange(ends[-1]))
+            add_vals = np.repeat(add_vals, sizes)
+        self.values[ustarts] += add_vals
 
     def add_batch(self, idxs, values, apply: bool = True) -> bool:
         if len(idxs) == 0:
@@ -581,6 +623,54 @@ class VectorRowEngine(RowEngine):
     def apply_plan(self, plan: BatchPlan) -> None:
         if plan.data is not None:
             self._apply_plan(*plan.data)
+
+    def add_ordered(self, idxs, deltas, add) -> None:
+        """Event-skip replay, bit-identical to the per-item walk.
+
+        An update is an *event* when the running value of its counter
+        (current value plus the stream-ordered prefix sum of the
+        counter's pending deltas) leaves the field: only then can
+        ``add`` merge, saturate or clamp.  Merges never cross a
+        superblock, so each pass bulk-applies every superblock's
+        updates before its first event, sends that event through
+        ``add``, and keeps the superblock's later updates for the next
+        pass.  Passes = the most events in any one superblock.
+        """
+        if float(np.abs(deltas).sum(dtype=np.float64)) > float(1 << 61):
+            # Prefix sums could wrap int64: take the reference walk.
+            RowEngine.add_ordered(self, idxs, deltas, add)
+            return
+        while idxs.size:
+            starts = self.starts[idxs]
+            order, s_sorted, head = self._group(starts)
+            first = np.flatnonzero(head)
+            v_sorted = deltas[order]
+            # Segmented cumsum: each update's running per-counter delta.
+            run = np.cumsum(v_sorted)
+            run -= (run[first] - v_sorted[first])[np.cumsum(head) - 1]
+            calm = self._fits_many(self.values[s_sorted], run,
+                                   self.levels[s_sorted])
+            if calm.all():
+                self._apply_plan(s_sorted[first],
+                                 np.add.reduceat(v_sorted, first))
+                return
+            # Position of each superblock's first event (n = none).
+            n = idxs.size
+            sb = starts >> self.max_level
+            cut = np.full(self.w >> self.max_level, n, dtype=np.int64)
+            events = order[~calm]
+            np.minimum.at(cut, sb[events], events)
+            cut = cut[sb]
+            pos = np.arange(n)
+            before = (pos < cut)[order]
+            self._apply_plan(s_sorted[first], np.add.reduceat(
+                np.where(before, v_sorted, 0), first))
+            events = np.flatnonzero(pos == cut)
+            for j, v in zip(idxs[events].tolist(), deltas[events].tolist()):
+                add(j, v)
+            later = pos > cut
+            idxs = idxs[later]
+            deltas = deltas[later]
 
     # -- sketch algebra -------------------------------------------------
     def counters_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

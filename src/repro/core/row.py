@@ -21,6 +21,7 @@ vectorize.  Both are observationally identical on every stream.
 from __future__ import annotations
 
 import math
+from operator import index
 
 from repro.core.engines import (
     COMPACT,
@@ -30,6 +31,7 @@ from repro.core.engines import (
     make_engine,
     resolve_engine,
 )
+from repro.sketches.base import as_batch
 
 #: Merge policies.
 SUM = "sum"
@@ -198,10 +200,11 @@ class SalsaRow:
         """Add ``v`` to the counter containing slot ``j``.
 
         Merges as many times as needed for the result to fit; saturates
-        at ``max_bits``.  Returns the counter's new value.
+        at ``max_bits``.  Returns the counter's new value.  ``v`` must
+        be an integer (``TypeError`` otherwise, on every engine).
         """
         level, start = self.engine.locate(j)
-        value = self.engine.read_block(start, level) + v
+        value = self.engine.read_block(start, level) + index(v)
         if not self.signed and value < 0:
             # Strict Turnstile counters never go negative; clamp so a
             # (mis-ordered) deletion cannot trigger runaway merging.
@@ -214,6 +217,21 @@ class SalsaRow:
             start, level, value = self._grow(start, level, value)
         self.engine.write_block(start, level, value)
         return value
+
+    def add_ordered(self, idxs, values) -> None:
+        """Add ``values[k]`` to the counter containing ``idxs[k]``, in
+        stream order.
+
+        Bit-identical to ``for j, v in zip(idxs, values): self.add(j,
+        v)`` -- values, levels, :attr:`merge_events` and
+        :attr:`saturations` -- for deltas of any sign.  The vector
+        engine bulk-applies each superblock's updates up to the next
+        one that could merge, saturate or clamp (an *event*) and sends
+        only events through :meth:`add`; the bit-packed engine calls
+        :meth:`add` for every update.  Non-integer input raises
+        ``TypeError``, as :meth:`add` does.
+        """
+        self.engine.add_ordered(*as_batch(idxs, values), self.add)
 
     def add_batch(self, idxs, values, apply: bool = True) -> bool:
         """Try to apply a pre-aggregated batch of adds without merging.
@@ -245,8 +263,9 @@ class SalsaRow:
         superblock whose touched counters all pass the merge-free check
         is bulk-applied, and a boolean mask over the ``w >> max_level``
         superblocks flags the *dirty* rest (untouched -- the caller
-        replays exactly the updates landing there, in stream order).
-        Returns ``None`` when the whole batch applied.
+        replays exactly the updates landing there, in stream order,
+        through :meth:`add_ordered`).  Returns ``None`` when the whole
+        batch applied.
         """
         return self.engine.add_batch_partial(idxs, values, apply=apply)
 
@@ -267,11 +286,13 @@ class SalsaRow:
         The conservative-update primitive (SALSA CUS, Thm V.3).  Only
         meaningful for max-merge rows: after any merges the counter is
         ``max(constituents, target)``.  Returns the new value.
+        ``target`` must be an integer (``TypeError`` otherwise).
         """
         if self.merge != MAX:
             raise ValueError("set_at_least requires a max-merge row")
         level, start = self.engine.locate(j)
         value = self.engine.read_block(start, level)
+        target = index(target)
         if value >= target:
             return value
         value = target

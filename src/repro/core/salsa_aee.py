@@ -210,8 +210,9 @@ class SalsaAeeCountMin(BatchOpsMixin):
         top-level overflow during the batch: no policy, no RNG draw,
         no downsampling.  Then merge-free superblocks collapse to one
         vectorized scatter-add per row and only the dirty ones replay
-        in stream order (their sub-top merges are order-local), which
-        is bit-identical to the per-item walk.
+        in stream order through :meth:`SalsaRow.add_ordered` (their
+        sub-top merges are order-local; the vector engine skips from
+        merge to merge), which is bit-identical to the per-item walk.
 
         Otherwise the batch walks items one by one with all ``d``
         hashes pre-computed vectorized.  RNG consumption is unchanged,
@@ -287,9 +288,7 @@ class SalsaAeeCountMin(BatchOpsMixin):
             if plan.dirty_mask is None:
                 continue
             sel = plan.dirty_mask[idxs >> row.max_level]
-            add = row.add
-            for j, v in zip(idxs[sel].tolist(), values[sel].tolist()):
-                add(j, v)
+            row.add_ordered(idxs[sel], values[sel])
         return True
 
     def query_many(self, items) -> list:

@@ -124,18 +124,26 @@ class SalsaCountMin(BatchOpsMixin):
         one vectorized hash call, and counters are bumped through
         :meth:`SalsaRow.add_batch_partial`: the merge-free superblocks
         bulk-apply (a vectorized scatter-add on the vector engine), and
-        only updates landing in a superblock where the batch could
-        trigger a merge replay in stream order -- so the result is
-        bit-identical to the per-item path while the exact fallback
-        shrinks to the rare overflowing blocks.  Batches with negative
-        values (Turnstile deletions) take the exact per-item fallback
-        wholesale.
+        the updates landing in a superblock where the batch could
+        trigger a merge replay in stream order through
+        :meth:`SalsaRow.add_ordered` (event-skip on the vector engine)
+        -- so the result is bit-identical to the per-item path.
+        Batches with negative values (Turnstile deletions) skip the
+        aggregation: summing per key would hide the intermediate peaks
+        that decide merges and clamps, so every row replays the whole
+        batch through :meth:`SalsaRow.add_ordered`, which is exact for
+        any sign.
         """
         items, values = as_batch(items, values)
         if len(items) == 0:
             return
-        if int(values.min()) < 0 or not batch_sum_fits(values):
+        if not batch_sum_fits(values):
             BatchOpsMixin.update_many(self, items, values)
+            return
+        if int(values.min()) < 0:
+            for row_id, row in enumerate(self.rows):
+                row.add_ordered(self.hashes.index_many(items, row_id, self.w),
+                                values)
             return
         uniq, sums = aggregate_batch(items, values)
         for row_id, row in enumerate(self.rows):
@@ -146,9 +154,7 @@ class SalsaCountMin(BatchOpsMixin):
             # Exact replay, original stream order, dirty superblocks only.
             full_idxs = self.hashes.index_many(items, row_id, self.w)
             sel = dirty[full_idxs >> row.max_level]
-            add = row.add
-            for j, v in zip(full_idxs[sel].tolist(), values[sel].tolist()):
-                add(j, v)
+            row.add_ordered(full_idxs[sel], values[sel])
 
     def query_many(self, items) -> list:
         """Batched query: one hash call per row, duplicate keys deduped."""

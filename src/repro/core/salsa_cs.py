@@ -98,34 +98,41 @@ class SalsaCountSketch(BatchOpsMixin):
         updates sum), then each row bulk-applies its merge-free
         superblocks through :meth:`SalsaRow.add_batch_partial` and
         replays, in stream order, only the updates landing in a
-        superblock that could merge.  Batches containing negative
-        update values fall back to the per-item path: cancellation
-        hides the intermediate peaks that decide merges, so only the
-        ordered walk is exact.
+        superblock that could merge, through
+        :meth:`SalsaRow.add_ordered` (event-skip on the vector engine).
+        Batches containing negative update values skip the
+        aggregation -- cancellation hides the intermediate peaks that
+        decide merges -- and every row replays the whole batch through
+        :meth:`SalsaRow.add_ordered`, which is exact for any sign.
         """
         items, values = as_batch(items, values)
         if len(items) == 0:
             return
-        if int(values.min()) < 0 or not batch_sum_fits(values):
+        if not batch_sum_fits(values):
             BatchOpsMixin.update_many(self, items, values)
+            return
+        mask = np.uint64(self.w - 1)
+        top = np.uint64(63)
+        if int(values.min()) < 0:
+            for row_id, row in enumerate(self.rows):
+                raw = self.hashes.raw_many(items, row_id)
+                row.add_ordered((raw & mask).astype(np.int64),
+                                np.where(raw >> top, values, -values))
             return
         uniq, sums = aggregate_batch(items, values)
         for row_id, row in enumerate(self.rows):
             raw = self.hashes.raw_many(uniq, row_id)
-            idxs = (raw & np.uint64(self.w - 1)).astype(np.int64)
-            signed = np.where(raw >> np.uint64(63), sums, -sums)
-            dirty = row.add_batch_partial(idxs, signed)
+            idxs = (raw & mask).astype(np.int64)
+            dirty = row.add_batch_partial(idxs, np.where(raw >> top, sums,
+                                                         -sums))
             if dirty is None:
                 continue
             raw = self.hashes.raw_many(items, row_id)
-            full_idxs = (raw & np.uint64(self.w - 1)).astype(np.int64)
+            full_idxs = (raw & mask).astype(np.int64)
             sel = dirty[full_idxs >> row.max_level]
-            top = (raw >> np.uint64(63)).astype(bool)
-            add = row.add
-            for j, positive, v in zip(full_idxs[sel].tolist(),
-                                      top[sel].tolist(),
-                                      values[sel].tolist()):
-                add(j, v if positive else -v)
+            row.add_ordered(full_idxs[sel],
+                            np.where(raw[sel] >> top, values[sel],
+                                     -values[sel]))
 
     def query_many(self, items) -> list:
         """Batched query: per-row votes gathered once, exact median."""

@@ -12,6 +12,7 @@ the encoding overheads").
 from __future__ import annotations
 
 import enum
+import numbers
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -56,12 +57,29 @@ class BatchFrequencySketch(FrequencySketch, Protocol):
         ...
 
 
+def _int64_array(data, what: str) -> np.ndarray:
+    """``data`` as a contiguous int64 array; ``TypeError`` unless every
+    entry is an integer or a bool (a float is never truncated)."""
+    arr = np.asarray(data)
+    kind = arr.dtype.kind
+    if arr.size and kind not in "biu" and not (
+            kind == "O"
+            and all(isinstance(x, numbers.Integral) for x in arr.flat)):
+        raise TypeError(f"batch {what} must be integers, got {arr.dtype}")
+    # Cast sequences from the source so an integer beyond int64 raises
+    # OverflowError instead of wrapping.
+    source = arr if isinstance(data, np.ndarray) or kind not in "uO" else data
+    return np.ascontiguousarray(source, dtype=np.int64)
+
+
 def as_batch(items, values=None) -> tuple[np.ndarray, np.ndarray]:
     """Normalize an update batch to int64 ``(items, values)`` arrays.
 
     ``values=None`` means unit weights (the paper's Cash Register
     streams).  Accepts lists, tuples, numpy arrays, Traces, and
-    WeightedTraces (whose own values array is consumed).
+    WeightedTraces (whose own values array is consumed).  Items and
+    values must be integers (or bools): anything else raises
+    ``TypeError``, as the per-item ``update`` does.
     """
     if hasattr(items, "items") and isinstance(getattr(items, "items"), np.ndarray):
         trace_values = getattr(items, "values", None)
@@ -73,11 +91,11 @@ def as_batch(items, values=None) -> tuple[np.ndarray, np.ndarray]:
                 )
             values = trace_values
         items = items.items  # a Trace
-    items = np.ascontiguousarray(items, dtype=np.int64)
+    items = _int64_array(items, "items")
     if values is None:
         values = np.ones(len(items), dtype=np.int64)
     else:
-        values = np.ascontiguousarray(values, dtype=np.int64)
+        values = _int64_array(values, "values")
         if len(values) != len(items):
             raise ValueError(
                 f"batch length mismatch: {len(items)} items, "

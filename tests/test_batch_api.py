@@ -38,6 +38,7 @@ from repro.sketches import (
 )
 from repro.sketches.base import (
     BatchFrequencySketch,
+    StreamModel,
     aggregate_batch,
     as_batch,
     collapse_runs,
@@ -63,12 +64,16 @@ FACTORIES = {
     "salsa-cms-max": (lambda: SalsaCountMin(w=256, d=4, s=8, seed=3), True),
     "salsa-cms-sum": (lambda: SalsaCountMin(w=256, d=4, s=8, merge=SUM,
                                             seed=3), True),
+    "salsa-cms-sum-vector": (lambda: SalsaCountMin(
+        w=256, d=4, s=8, merge=SUM, seed=3, engine="vector"), True),
     "salsa-cms-compact": (lambda: SalsaCountMin(w=256, d=4, s=8,
                                                 encoding=COMPACT, seed=3),
                           True),
     "salsa-cms-tiny": (lambda: SalsaCountMin(w=32, d=4, s=8, max_bits=16,
                                              seed=3), True),
     "salsa-cs": (lambda: SalsaCountSketch(w=256, d=5, s=8, seed=3), True),
+    "salsa-cs-vector": (lambda: SalsaCountSketch(w=256, d=5, s=8, seed=3,
+                                                 engine="vector"), True),
     "salsa-cus": (lambda: SalsaConservativeUpdate(w=256, d=4, s=8, seed=3),
                   True),
     "salsa-aee": (lambda: SalsaAeeCountMin(w=64, d=4, s=8, seed=3), True),
@@ -147,20 +152,47 @@ def test_batch_protocol_and_empty_batches(name):
     assert sketch.query_many(np.array([], dtype=np.int64)) == []
 
 
-@pytest.mark.parametrize("name", ["cs", "cs-8bit", "salsa-cs"])
+def _strict_turnstile(rng, n, universe):
+    """Mixed-sign updates whose running per-key counts never go
+    negative, with inserts large enough to merge 8-bit counters."""
+    counts = [0] * universe
+    items = rng.integers(0, universe, n)
+    values = np.empty(n, dtype=np.int64)
+    for t, x in enumerate(items.tolist()):
+        if counts[x] and rng.random() < 0.4:
+            v = -int(rng.integers(1, counts[x] + 1))
+        else:
+            v = int(rng.integers(1, 40))
+        counts[x] += v
+        values[t] = v
+    return items.astype(np.int64), values
+
+
+@pytest.mark.parametrize("name", ["cs", "cs-8bit", "salsa-cs",
+                                  "salsa-cs-vector", "salsa-cms-sum",
+                                  "salsa-cms-sum-vector"])
 def test_turnstile_batches_match(name):
-    """Mixed-sign values route through the exact fallback unchanged."""
+    """Mixed-sign batches (deletions) match the per-item loop: a
+    Strict-Turnstile stream for every sketch, plus a fully mixed one
+    for the Turnstile sketches."""
     factory, _ = FACTORIES[name]
     rng = np.random.default_rng(5)
-    items = rng.integers(0, 64, 2000).astype(np.int64)
-    values = rng.integers(-5, 6, 2000).astype(np.int64)
-    reference, batched = factory(), factory()
-    _feed_per_item(reference, items, values)
-    _feed_batched(batched, items, values, chunk=301)
-    probe = list(range(64))
-    expected = [reference.query(x) for x in probe]
-    assert [batched.query(x) for x in probe] == expected
-    assert batched.query_many(probe) == expected
+    streams = [_strict_turnstile(rng, 2000, 64)]
+    if factory().model is StreamModel.TURNSTILE:
+        streams.append((rng.integers(0, 64, 2000).astype(np.int64),
+                        rng.integers(-5, 6, 2000).astype(np.int64)))
+    for items, values in streams:
+        reference, batched = factory(), factory()
+        _feed_per_item(reference, items, values)
+        _feed_batched(batched, items, values, chunk=301)
+        probe = list(range(64))
+        expected = [reference.query(x) for x in probe]
+        assert [batched.query(x) for x in probe] == expected
+        assert batched.query_many(probe) == expected
+        if name.startswith("salsa"):
+            assert ([(r.merge_events, r.saturations) for r in batched.rows]
+                    == [(r.merge_events, r.saturations)
+                        for r in reference.rows])
 
 
 @pytest.mark.parametrize("name", ["cus", "salsa-cus", "abc", "spacesaving",
@@ -183,6 +215,24 @@ def test_update_many_accepts_traces_and_lists():
     expected = [a.query(x) for x in probe]
     assert b.query_many(probe) == expected
     assert c.query_many(probe) == expected
+
+
+@pytest.mark.parametrize("engine", ["bitpacked", "vector"])
+@pytest.mark.parametrize("door", ["update", "update_many"])
+@pytest.mark.parametrize("cls", [SalsaCountMin, SalsaCountSketch,
+                                 SalsaConservativeUpdate])
+def test_non_integer_keys_and_values_raise(cls, door, engine):
+    """A float key or value is a TypeError on both doors and both
+    engines -- never truncated into a count."""
+    sketch = cls(w=64, d=4, s=8, seed=3, engine=engine)
+    for item, value in ((1.7, 1), (3, 1.5), (np.float64(2.0), 1),
+                        (4, np.float64(2.0))):
+        with pytest.raises(TypeError):
+            if door == "update":
+                sketch.update(item, value)
+            else:
+                sketch.update_many([item], [value])
+    assert sketch.query_many([1, 2, 3, 4]) == [0, 0, 0, 0]
 
 
 def test_as_batch_validates_lengths():

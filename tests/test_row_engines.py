@@ -10,6 +10,8 @@ streams, through the stateful operations (``scale_down_half``,
 engine direction, at row level and at sketch level.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 import hypothesis.strategies as st
@@ -30,7 +32,7 @@ from repro.core import (
     get_default_engine,
     set_default_engine,
 )
-from repro.core.row import SUM
+from repro.core.row import COMPACT, SIMPLE, SUM
 from repro.core.serialize import dumps, loads
 
 
@@ -52,14 +54,77 @@ def make_pair(**kwargs):
 # ----------------------------------------------------------------------
 # row-level lockstep
 # ----------------------------------------------------------------------
+#: ``add_ordered`` chunk sizes, cycled over a stream (0 = empty chunk).
+CHUNKS = (0, 1, 2, 37, 256, 0, 700)
+
+
+def chunk_bounds(n):
+    """``(lo, hi)`` slices of an ``n``-update stream cut by CHUNKS."""
+    bounds = []
+    lo = 0
+    for size in itertools.cycle(CHUNKS):
+        if lo >= n:
+            return bounds
+        bounds.append((lo, min(n, lo + size)))
+        lo += size
+
+
+def _edge_events(rng, n):
+    """Saturating jumps at the first and last update of every chunk."""
+    values = np.ones(n, dtype=np.int64)
+    for lo, hi in chunk_bounds(n):
+        if hi > lo:
+            values[[lo, hi - 1]] = 1 << 20
+    return rng.integers(0, 32, n), values
+
+
+def _cancel(rng, n):
+    """Adjacent +v/-v pairs on one slot: the net fits, the peak does
+    not (a merge on signed rows, a merge or clamp on unsigned ones)."""
+    half = n // 2
+    slots = np.repeat(rng.integers(0, 32, half), 2)
+    mags = np.repeat(rng.integers(5, 40, half), 2)
+    signs = np.tile([1, -1], half) * np.repeat(rng.choice([1, -1], half), 2)
+    return slots, mags * signs
+
+
+def _huge(rng, n):
+    """Values near 2^58 among small ones: about 7 per 700-update chunk,
+    near the 2^61 total that keeps prefix sums int64-exact (a chunk
+    past it takes the reference walk)."""
+    values = rng.integers(-3, 9, n)
+    big = rng.random(n) < 0.01
+    values[big] = (1 << 58) + rng.integers(-99, 100, int(big.sum()))
+    return rng.integers(0, 32, n), values
+
+
+#: name -> (max_bits, stream maker).  Rows are ``w=32, s=4``: 16-slot
+#: superblocks at max_bits 64, 4-slot ones at 16, 32-slot at 128.
 STREAMS = {
-    "random": lambda rng, n: (rng.integers(0, 32, n),
-                              rng.integers(1, 9, n)),
-    "hot-key": lambda rng, n: (
+    "random": (64, lambda rng, n: (rng.integers(0, 32, n),
+                                   rng.integers(1, 9, n))),
+    "hot-key": (64, lambda rng, n: (
         np.where(rng.random(n) < 0.7, 5, rng.integers(0, 32, n)),
-        np.ones(n, dtype=np.int64)),
-    "turnstile": lambda rng, n: (rng.integers(0, 32, n),
-                                 rng.integers(-6, 7, n)),
+        np.ones(n, dtype=np.int64))),
+    "turnstile": (64, lambda rng, n: (rng.integers(0, 32, n),
+                                      rng.integers(-6, 7, n))),
+    # Several events per superblock, and in many superblocks, per chunk.
+    "many-events": (16, lambda rng, n: (rng.integers(0, 32, n),
+                                        rng.integers(1, 60, n))),
+    "edge-events": (16, _edge_events),
+    # One update jumping level 0 -> 4 (4 -> 64 bits).
+    "level-jump": (64, lambda rng, n: (
+        rng.integers(0, 32, n),
+        np.where(rng.random(n) < 0.005, 1 << 36, rng.integers(1, 4, n)))),
+    # A hot slot saturating at max_bits, then saturating again and again.
+    "saturate": (16, lambda rng, n: (
+        np.where(rng.random(n) < 0.5, 9, rng.integers(0, 32, n)),
+        rng.integers(-300, 4000, n))),
+    # Top level 128 bits wide, past the vector engine's 64-bit storage.
+    "wide": (128, lambda rng, n: (rng.integers(0, 32, n),
+                                  rng.integers(1, 1 << 12, n))),
+    "cancel": (64, _cancel),
+    "huge": (64, _huge),
 }
 
 
@@ -67,15 +132,27 @@ STREAMS = {
 @pytest.mark.parametrize("merge,signed", [("max", False), ("sum", False),
                                           ("sum", True)])
 def test_row_add_lockstep(stream, merge, signed):
+    """Per-item ``add`` on both engines, and ``add_ordered`` fed the
+    same stream in chunks (an empty one included), reach one state --
+    values, levels, merge and saturation counts -- in both encodings."""
     rng = np.random.default_rng(7)
-    items, values = STREAMS[stream](rng, 3000)
+    max_bits, make = STREAMS[stream]
+    items, values = make(rng, 3000)
     if not signed and stream == "turnstile":
         values = np.abs(values) + 1  # unsigned rows get Cash Register
-    a, b = make_pair(w=32, s=4, merge=merge, signed=signed)
-    for j, v in zip(items.tolist(), values.tolist()):
-        assert a.add(int(j), int(v)) == b.add(int(j), int(v))
-    assert row_state(a) == row_state(b)
-    assert (a.merge_events, a.saturations) == (b.merge_events, b.saturations)
+    for encoding in (SIMPLE, COMPACT):
+        shape = dict(w=32, s=4, max_bits=max_bits, merge=merge,
+                     signed=signed, encoding=encoding)
+        a, b = make_pair(**shape)
+        for j, v in zip(items.tolist(), values.tolist()):
+            assert a.add(j, v) == b.add(j, v)
+        expected = (row_state(a), a.merge_events, a.saturations)
+        assert (row_state(b), b.merge_events, b.saturations) == expected
+        for row in make_pair(**shape):
+            for lo, hi in chunk_bounds(len(items)):
+                row.add_ordered(items[lo:hi], values[lo:hi])
+            assert (row_state(row), row.merge_events,
+                    row.saturations) == expected
 
 
 def test_row_add_batch_lockstep():
@@ -227,6 +304,15 @@ class EngineLockstepMachine(RuleBasedStateMachine):
         idxs = [j for j, _ in data]
         vals = [v for _, v in data]
         assert self.a.add_batch(idxs, vals) == self.b.add_batch(idxs, vals)
+
+    @rule(data=st.lists(st.tuples(st.integers(min_value=0, max_value=15),
+                                  st.integers(min_value=-9, max_value=40)),
+                        max_size=24))
+    def add_ordered(self, data):
+        idxs = [j for j, _ in data]
+        vals = [v for _, v in data]
+        self.a.add_ordered(idxs, vals)
+        self.b.add_ordered(idxs, vals)
 
     @invariant()
     def observationally_equal(self):
