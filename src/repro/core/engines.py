@@ -16,10 +16,11 @@ delegates the *representation* to a :class:`RowEngine`:
   uint64 for unsigned rows) value per *base slot* (the value of a
   merged counter is duplicated across its block, so a point read is a
   single array index) plus a per-slot level array; merge bits are
-  derived, never stored.  ``add_batch`` becomes a vectorized
-  scatter-add with overflow detection.  It reports the *same*
-  ``overhead_bits`` as the bit-packed encoding it emulates, so memory
-  accounting -- and every figure -- is engine-independent.
+  derived, never stored.  ``add_batch_partial`` becomes a vectorized
+  merge-free check plus scatter-add, and ``add_ordered`` an event-skip
+  replay.  It reports the *same* ``overhead_bits`` as the bit-packed
+  encoding it emulates, so memory accounting -- and every figure --
+  is engine-independent.
 
 Both engines expose decoded integer values; only the bit-packed engine
 knows about sign-magnitude bit patterns.  The contract (enforced by
@@ -28,7 +29,7 @@ identical counter values, merge levels, estimates, and memory bits --
 an engine changes speed, never the sketch.
 
 Vectorized bulk paths assume the caller bounds a batch's total
-absolute inflow by ``2^61`` (see ``sketches.base.batch_sum_fits``) so
+absolute inflow by ``2^61`` (the ``sketches.base.batch_door`` guard) so
 int64 scratch arithmetic cannot wrap.
 """
 
@@ -176,17 +177,7 @@ class RowEngine:
         raise NotImplementedError
 
     # -- bulk -----------------------------------------------------------
-    def add_batch(self, idxs, values, apply: bool = True) -> bool:
-        """Apply a pre-aggregated batch of adds iff provably merge-free.
-
-        Semantics are identical across engines (and to the historical
-        ``SalsaRow.add_batch``): all-or-nothing; ``False`` leaves the
-        row untouched.  ``apply=False`` runs the merge-free check only
-        (used for cross-row atomic batches, e.g. SALSA AEE).
-        """
-        raise NotImplementedError
-
-    def add_batch_partial(self, idxs, values, apply: bool = True):
+    def add_batch_partial(self, idxs, values):
         """Apply the merge-free portion of a batch; report the rest.
 
         Counters merge only within their enclosing ``2^max_level``-
@@ -197,11 +188,9 @@ class RowEngine:
         completely untouched; the caller replays their updates in
         stream order through :meth:`add_ordered`).  Returns ``None``
         when everything applied.
-        ``apply=False`` computes the mask without writing anything.
         """
         plan = self.plan_add_batch(idxs, values)
-        if apply:
-            self.apply_plan(plan)
+        self.apply_plan(plan)
         return plan.dirty_mask
 
     def plan_add_batch(self, idxs, values) -> "BatchPlan":
@@ -379,21 +368,6 @@ class BitPackedEngine(RowEngine):
             return False
         if self.signed and not field_fits(cur - mag, width, self.signed):
             return False
-        return True
-
-    def add_batch(self, idxs, values, apply: bool = True) -> bool:
-        per_block = self._gather_blocks(idxs, values)
-        writes = []
-        for start, (level, net, mag) in per_block.items():
-            if not self._block_is_mergefree(start, level, net, mag):
-                return False
-            if net:
-                writes.append((start, level,
-                               self.read_block(start, level) + net))
-        if not apply:
-            return True
-        for start, level, value in writes:
-            self.write_block(start, level, value)
         return True
 
     def plan_add_batch(self, idxs, values) -> BatchPlan:
@@ -598,16 +572,6 @@ class VectorRowEngine(RowEngine):
                        + np.arange(ends[-1]))
             add_vals = np.repeat(add_vals, sizes)
         self.values[ustarts] += add_vals
-
-    def add_batch(self, idxs, values, apply: bool = True) -> bool:
-        if len(idxs) == 0:
-            return True
-        ustarts, net, ok = self._batch_plan(idxs, values)
-        if not ok.all():
-            return False
-        if apply:
-            self._apply_plan(ustarts, net)
-        return True
 
     def plan_add_batch(self, idxs, values) -> BatchPlan:
         if len(idxs) == 0:

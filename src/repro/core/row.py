@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from operator import index
 
+import numpy as np
+
 from repro.core.engines import (
     COMPACT,
     SIMPLE,
@@ -37,7 +39,25 @@ from repro.sketches.base import as_batch
 SUM = "sum"
 MAX = "max"
 
-__all__ = ["SUM", "MAX", "SIMPLE", "COMPACT", "SalsaRow"]
+__all__ = ["SUM", "MAX", "SIMPLE", "COMPACT", "SalsaRow", "row_gather"]
+
+
+def row_gather(rows, hashes, w: int):
+    """The ``gather(uniq)`` of :func:`repro.sketches.base.batched_min_query`
+    for a sketch built from SALSA (or Tango) rows.
+
+    Returns the ``(d, n)`` counter values of the keys ``uniq``, hashed
+    and gathered row by row (per-row temporaries stay small, which
+    measured faster than one stacked ``(d, n)`` hash).
+    """
+
+    def gather(uniq):
+        out = np.empty((len(rows), len(uniq)), dtype=np.int64)
+        for row_id, row in enumerate(rows):
+            out[row_id] = row.read_many(hashes.index_many(uniq, row_id, w))
+        return out
+
+    return gather
 
 
 class SalsaRow:
@@ -233,41 +253,24 @@ class SalsaRow:
         """
         self.engine.add_ordered(*as_batch(idxs, values), self.add)
 
-    def add_batch(self, idxs, values, apply: bool = True) -> bool:
-        """Try to apply a pre-aggregated batch of adds without merging.
-
-        ``idxs``/``values`` are parallel sequences (lists or numpy
-        arrays) of base-slot indices and deltas (duplicates allowed).
-        The batch is applied only if it is provably *merge-free*: for
-        every touched counter, the current value plus the batch's total
-        absolute inflow still fits the counter's width.  Under that
-        condition every interleaving of the individual adds stays in
-        range, so plain summation is bit-identical to any per-item
-        order -- including the original stream order the caller
-        collapsed duplicates out of.
-
-        Returns ``True`` if applied (all-or-nothing); ``False`` if some
-        counter could overflow, in which case the row is untouched and
-        the caller must replay the batch through :meth:`add` in stream
-        order.  ``apply=False`` runs the check without writing (used to
-        make a batch atomic across several rows).
-        """
-        return self.engine.add_batch(idxs, values, apply=apply)
-
-    def add_batch_partial(self, idxs, values, apply: bool = True):
+    def add_batch_partial(self, idxs, values):
         """Apply the merge-free portion of a batch at superblock
         granularity.
 
-        Counters merge only within their ``2^max_level``-aligned
-        superblock, so superblocks are independent streams: every
-        superblock whose touched counters all pass the merge-free check
-        is bulk-applied, and a boolean mask over the ``w >> max_level``
-        superblocks flags the *dirty* rest (untouched -- the caller
-        replays exactly the updates landing there, in stream order,
-        through :meth:`add_ordered`).  Returns ``None`` when the whole
-        batch applied.
+        A counter is *merge-free* when its current value plus the
+        batch's total absolute inflow into it still fits its width:
+        every interleaving of its adds then stays in range, so plain
+        summation is bit-identical to the stream order.  Counters
+        merge only within their ``2^max_level``-aligned superblock, so
+        superblocks are independent streams: every superblock whose
+        touched counters are all merge-free is bulk-applied, and a
+        boolean mask over the ``w >> max_level`` superblocks flags the
+        *dirty* rest (untouched -- the caller replays exactly the
+        updates landing there, in stream order, through
+        :meth:`add_ordered`).  Returns ``None`` when the whole batch
+        applied.
         """
-        return self.engine.add_batch_partial(idxs, values, apply=apply)
+        return self.engine.add_batch_partial(idxs, values)
 
     def plan_add_batch(self, idxs, values):
         """Aggregate + merge-free-check a batch without writing; the

@@ -32,12 +32,11 @@ import math
 import random
 
 from repro.hashing import HashFamily, mix64
-from repro.core.row import MAX, SIMPLE, SalsaRow
+from repro.core.row import MAX, SIMPLE, SalsaRow, row_gather
 from repro.sketches.base import (
     BatchOpsMixin,
     StreamModel,
-    as_batch,
-    batch_sum_fits,
+    batch_door,
     batched_min_query,
     width_for_memory,
 )
@@ -197,7 +196,8 @@ class SalsaAeeCountMin(BatchOpsMixin):
     # ------------------------------------------------------------------
     # batch pipeline
     # ------------------------------------------------------------------
-    def update_many(self, items, values=None) -> None:
+    @batch_door(positive=True, per_item=lambda self, values: self.p < 1.0)
+    def update_many(self, items, values) -> None:
         """Batched update with vectorized hashing.
 
         AEE's datapath is sequential in general -- the sampling RNG,
@@ -223,18 +223,9 @@ class SalsaAeeCountMin(BatchOpsMixin):
         "dropped updates never compute a hash" design -- so the walk
         reverts to hashing lazily inside ``_update_one``.
         """
-        items, values = as_batch(items, values)
-        if len(items) == 0:
-            return
-        if int(values.min()) < 1:
-            raise ValueError("SALSA AEE is a Cash Register sketch")
-        if self.p < 1.0:
-            BatchOpsMixin.update_many(self, items, values)
-            return
         idx_arrays = [self.hashes.index_many(items, row_id, self.w)
                       for row_id in range(self.d)]
-        if (batch_sum_fits(values)
-                and self._try_batch_apply(idx_arrays, values)):
+        if self._try_batch_apply(idx_arrays, values):
             self.volume += int(values.sum())
             return
         idx_rows = [idxs.tolist() for idxs in idx_arrays]
@@ -294,12 +285,9 @@ class SalsaAeeCountMin(BatchOpsMixin):
     def query_many(self, items) -> list:
         """Batched query: deduped, one hash call per row, scaled by p."""
 
-        def row_values(row_id, uniq):
-            idxs = self.hashes.index_many(uniq, row_id, self.w)
-            return self.rows[row_id].read_many(idxs)
-
         p = self.p
-        return [e / p for e in batched_min_query(items, self.d, row_values)]
+        gather = row_gather(self.rows, self.hashes, self.w)
+        return [e / p for e in batched_min_query(items, gather)]
 
     # ------------------------------------------------------------------
     @property

@@ -16,14 +16,13 @@ verify on random streams.
 from __future__ import annotations
 
 from repro.hashing import HashFamily, mix64
-from repro.core.row import COMPACT, MAX, SIMPLE, SUM, SalsaRow
+from repro.core.row import COMPACT, MAX, SIMPLE, SUM, SalsaRow, row_gather
 from repro.core.tango import TangoRow
 from repro.sketches.base import (
     BatchOpsMixin,
     StreamModel,
     aggregate_batch,
-    as_batch,
-    batch_sum_fits,
+    batch_door,
     batched_min_query,
     width_for_memory,
 )
@@ -117,7 +116,8 @@ class SalsaCountMin(BatchOpsMixin):
     # ------------------------------------------------------------------
     # batch pipeline
     # ------------------------------------------------------------------
-    def update_many(self, items, values=None) -> None:
+    @batch_door()
+    def update_many(self, items, values) -> None:
         """Batched update: hash whole rows at once, merge duplicates.
 
         Duplicate keys are pre-aggregated, each row's indices come from
@@ -134,12 +134,6 @@ class SalsaCountMin(BatchOpsMixin):
         batch through :meth:`SalsaRow.add_ordered`, which is exact for
         any sign.
         """
-        items, values = as_batch(items, values)
-        if len(items) == 0:
-            return
-        if not batch_sum_fits(values):
-            BatchOpsMixin.update_many(self, items, values)
-            return
         if int(values.min()) < 0:
             for row_id, row in enumerate(self.rows):
                 row.add_ordered(self.hashes.index_many(items, row_id, self.w),
@@ -157,13 +151,9 @@ class SalsaCountMin(BatchOpsMixin):
             row.add_ordered(full_idxs[sel], values[sel])
 
     def query_many(self, items) -> list:
-        """Batched query: one hash call per row, duplicate keys deduped."""
-
-        def row_values(row_id, uniq):
-            idxs = self.hashes.index_many(uniq, row_id, self.w)
-            return self.rows[row_id].read_many(idxs)
-
-        return batched_min_query(items, self.d, row_values)
+        """Batched query: deduped keys, one hash call per row."""
+        return batched_min_query(items,
+                                 row_gather(self.rows, self.hashes, self.w))
 
     # ------------------------------------------------------------------
     @property
@@ -252,13 +242,9 @@ class TangoCountMin(BatchOpsMixin):
         return est
 
     def query_many(self, items) -> list:
-        """Batched query: one hash call per row, engine gathers."""
-
-        def row_values(row_id, uniq):
-            idxs = self.hashes.index_many(uniq, row_id, self.w)
-            return self.rows[row_id].read_many(idxs)
-
-        return batched_min_query(items, self.d, row_values)
+        """Batched query: deduped keys, one hash call per row."""
+        return batched_min_query(items,
+                                 row_gather(self.rows, self.hashes, self.w))
 
     @property
     def memory_bytes(self) -> int:

@@ -23,8 +23,7 @@ from repro.sketches.base import (
     BatchOpsMixin,
     StreamModel,
     aggregate_batch,
-    as_batch,
-    batch_sum_fits,
+    batch_door,
     batched_median_query,
     median,
     width_for_memory,
@@ -91,7 +90,8 @@ class SalsaCountSketch(BatchOpsMixin):
     # ------------------------------------------------------------------
     # batch pipeline
     # ------------------------------------------------------------------
-    def update_many(self, items, values=None) -> None:
+    @batch_door()
+    def update_many(self, items, values) -> None:
         """Batched signed update over sign-magnitude SALSA rows.
 
         Keys are pre-aggregated (a key keeps one sign per row, so its
@@ -105,12 +105,6 @@ class SalsaCountSketch(BatchOpsMixin):
         decide merges -- and every row replays the whole batch through
         :meth:`SalsaRow.add_ordered`, which is exact for any sign.
         """
-        items, values = as_batch(items, values)
-        if len(items) == 0:
-            return
-        if not batch_sum_fits(values):
-            BatchOpsMixin.update_many(self, items, values)
-            return
         mask = np.uint64(self.w - 1)
         top = np.uint64(63)
         if int(values.min()) < 0:
@@ -137,13 +131,16 @@ class SalsaCountSketch(BatchOpsMixin):
     def query_many(self, items) -> list:
         """Batched query: per-row votes gathered once, exact median."""
 
-        def row_votes(row_id, uniq):
-            raw = self.hashes.raw_many(uniq, row_id)
-            idxs = (raw & np.uint64(self.w - 1)).astype(np.int64)
-            vals = self.rows[row_id].read_many(idxs)
-            return np.where(raw >> np.uint64(63), vals, -vals)
+        def votes(uniq):
+            out = np.empty((self.d, len(uniq)), dtype=np.int64)
+            for row_id, row in enumerate(self.rows):
+                raw = self.hashes.raw_many(uniq, row_id)
+                vals = row.read_many((raw & np.uint64(self.w - 1))
+                                     .astype(np.int64))
+                out[row_id] = np.where(raw >> np.uint64(63), vals, -vals)
+            return out
 
-        return batched_median_query(items, self.d, row_votes)
+        return batched_median_query(items, votes)
 
     def row_estimate(self, item: int, row: int) -> int:
         """Single-row unbiased estimate (used by SALSA UnivMon)."""

@@ -14,14 +14,13 @@ import numpy as np
 
 from repro.hashing import HashFamily, mix64
 from repro.core.engines import VectorRowEngine
-from repro.core.row import MAX, SIMPLE, SalsaRow
+from repro.core.row import MAX, SIMPLE, SalsaRow, row_gather
 from repro.sketches.base import (
     BatchOpsMixin,
     StreamModel,
-    as_batch,
-    batch_sum_fits,
-    collapse_runs,
+    batch_door,
     batched_min_query,
+    collapse_runs,
     width_for_memory,
 )
 
@@ -92,7 +91,8 @@ class SalsaConservativeUpdate(BatchOpsMixin):
     # ------------------------------------------------------------------
     # batch pipeline
     # ------------------------------------------------------------------
-    def update_many(self, items, values=None) -> None:
+    @batch_door(positive=True)
+    def update_many(self, items, values) -> None:
         """Batched conservative update.
 
         The conservative rule couples rows through the pre-update
@@ -113,23 +113,12 @@ class SalsaConservativeUpdate(BatchOpsMixin):
         walk stays in stream order throughout, so it is bit-identical
         to the per-item path.
         """
-        items, values = as_batch(items, values)
-        if len(items) == 0:
-            return
-        if int(values.min()) <= 0:
-            raise ValueError(
-                "SALSA CUS is a Cash Register sketch; batch contains a "
-                "non-positive value"
-            )
-        if not batch_sum_fits(values):
-            BatchOpsMixin.update_many(self, items, values)
-            return
         items, values = collapse_runs(items, values)
         idx_arrays = [self.hashes.index_many(items, row_id, self.w)
                       for row_id in range(self.d)]
         rows = self.rows
         if all(isinstance(row.engine, VectorRowEngine) for row in rows):
-            masks = [row.add_batch_partial(idxs, values, apply=False)
+            masks = [row.plan_add_batch(idxs, values).dirty_mask
                      for row, idxs in zip(rows, idx_arrays)]
             self._hybrid_walk(idx_arrays, values, masks)
             return
@@ -231,13 +220,9 @@ class SalsaConservativeUpdate(BatchOpsMixin):
                     vr, dtype=engine.values.dtype)[clean]
 
     def query_many(self, items) -> list:
-        """Batched query: one hash call per row, duplicate keys deduped."""
-
-        def row_values(row_id, uniq):
-            idxs = self.hashes.index_many(uniq, row_id, self.w)
-            return self.rows[row_id].read_many(idxs)
-
-        return batched_min_query(items, self.d, row_values)
+        """Batched query: deduped keys, one hash call per row."""
+        return batched_min_query(items,
+                                 row_gather(self.rows, self.hashes, self.w))
 
     # ------------------------------------------------------------------
     @property

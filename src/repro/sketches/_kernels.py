@@ -18,15 +18,19 @@ performs the whole batch in a constant number of NumPy operations:
 * :func:`scatter_add_running` -- ordered bulk add that also returns the
   post-update value of each touched counter (the on-arrival door:
   exact intermediate estimates without a per-item loop);
-* :func:`gather_2d` / :func:`min_over_rows` / :func:`median_over_rows`
-  -- the query-side gathers and row aggregations.
+* :func:`gather_2d` / :func:`signed_votes` / :func:`min_over_rows` /
+  :func:`median_over_rows` -- the query-side gathers and row
+  aggregations (:func:`repro.sketches.base.batched_min_query` and
+  :func:`~repro.sketches.base.batched_median_query` reduce with the
+  latter two).
 
 The duplicate pre-aggregation front door is shared with the rest of
 the batch pipeline: callers dedup keys with
 :func:`repro.sketches.base.aggregate_batch` *before* building the
 index matrix, so the kernels only ever see unique keys per batch.
 Everything here preserves the batch contract (bit-identity with the
-per-item walk); the guard-then-fallback decisions stay in the sketches.
+per-item walk); which batches may reach a kernel is decided by the
+sketches' :func:`repro.sketches.base.batch_door` guards.
 """
 
 from __future__ import annotations
@@ -47,6 +51,14 @@ def gather_2d(mat: np.ndarray, idx2d: np.ndarray) -> np.ndarray:
     return mat.ravel()[flat_indices(idx2d, mat.shape[1])].reshape(idx2d.shape)
 
 
+def signed_votes(mat: np.ndarray, raw2d: np.ndarray) -> np.ndarray:
+    """Count-Sketch row votes: each key's counter in every row, signed
+    by the top bit of its ``(d, n)`` raw hash (bit set = positive)."""
+    idx2d = (raw2d & np.uint64(mat.shape[1] - 1)).astype(np.int64)
+    vals = gather_2d(mat, idx2d)
+    return np.where(raw2d >> np.uint64(63), vals, -vals)
+
+
 def min_over_rows(values2d: np.ndarray) -> np.ndarray:
     """Count-Min query aggregation: the minimum across rows."""
     return values2d.min(axis=0)
@@ -63,7 +75,12 @@ def median_over_rows(votes2d: np.ndarray) -> np.ndarray:
     mid = d // 2
     if d % 2:
         return votes[mid]
-    return (votes[mid - 1] + votes[mid]) / 2
+    lo, hi = votes[mid - 1], votes[mid]
+    if votes.dtype.kind == "i" and (int(hi.max()) >= 1 << 62
+                                    or int(lo.min()) <= -(1 << 62)):
+        # The int64 sum could wrap: add as Python ints, as median does.
+        lo, hi = lo.astype(object), hi.astype(object)
+    return (lo + hi) / 2
 
 
 def _aggregate_flat(flat: np.ndarray, deltas: np.ndarray

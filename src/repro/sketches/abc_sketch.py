@@ -26,8 +26,7 @@ from repro.sketches.base import (
     BatchOpsMixin,
     StreamModel,
     aggregate_batch,
-    as_batch,
-    batch_sum_fits,
+    batch_door,
     batched_min_query,
     width_for_memory,
 )
@@ -130,7 +129,8 @@ class AbcSketch(BatchOpsMixin):
     # ------------------------------------------------------------------
     # batch pipeline
     # ------------------------------------------------------------------
-    def update_many(self, items, values=None) -> None:
+    @batch_door(positive=True)
+    def update_many(self, items, values) -> None:
         """Batched update with vectorized hashing and key aggregation.
 
         ABC's borrow/combine transitions depend only on per-slot inflow
@@ -139,14 +139,6 @@ class AbcSketch(BatchOpsMixin):
         the final pair states and values bit-identical to the per-item
         walk.
         """
-        items, values = as_batch(items, values)
-        if len(items) == 0:
-            return
-        if int(values.min()) < 1:
-            raise ValueError("ABC is a Cash Register sketch")
-        if not batch_sum_fits(values):
-            BatchOpsMixin.update_many(self, items, values)
-            return
         uniq, sums = aggregate_batch(items, values)
         agg = sums.tolist()
         for row_id in range(self.d):
@@ -158,13 +150,13 @@ class AbcSketch(BatchOpsMixin):
     def query_many(self, items) -> list:
         """Batched query: deduped keys, one hash call per row."""
 
-        def row_values(row_id, uniq):
-            idxs = self.hashes.index_many(uniq, row_id, self.w)
-            read = self._read
-            return np.fromiter((read(row_id, j) for j in idxs.tolist()),
-                               dtype=np.int64, count=len(uniq))
+        def gather(uniq):
+            return np.array(
+                [[self._read(row_id, j) for j in
+                  self.hashes.index_many(uniq, row_id, self.w).tolist()]
+                 for row_id in range(self.d)], dtype=np.int64)
 
-        return batched_min_query(items, self.d, row_values)
+        return batched_min_query(items, gather)
 
     # ------------------------------------------------------------------
     @property

@@ -12,10 +12,13 @@ the encoding overheads").
 from __future__ import annotations
 
 import enum
+import functools
 import numbers
 from typing import Protocol, runtime_checkable
 
 import numpy as np
+
+from repro.sketches import _kernels
 
 
 class StreamModel(enum.Enum):
@@ -154,57 +157,51 @@ def batch_sum_fits(values: np.ndarray) -> bool:
     return float(np.abs(values).sum(dtype=np.float64)) <= _BATCH_SUM_BOUND
 
 
-def batched_min_query(items, d: int, row_values) -> list:
-    """Shared min-over-rows batch query.
+def batched_query(items, estimate) -> list:
+    """The shared batch-query pipeline: normalize, dedup, estimate, un-dedup.
 
-    ``row_values(row_id, uniq)`` returns the int64 counter values of
-    the deduplicated keys in one row; the minimum across rows is mapped
-    back onto the original (duplicated) order.  Bit-identical to
-    per-item min queries because reads are pure.
+    ``estimate(uniq)`` returns one estimate per deduplicated key; they
+    are mapped back onto the original (duplicated) order.  Bit-identical
+    to per-item queries because reads are pure.
     """
     items, _ = as_batch(items)
     if len(items) == 0:
         return []
     uniq, inverse = np.unique(items, return_inverse=True)
-    est = None
-    for row_id in range(d):
-        vals = row_values(row_id, uniq)
-        est = vals if est is None else np.minimum(est, vals)
-    return est[inverse].tolist()
+    return np.asarray(estimate(uniq))[inverse].tolist()
 
 
-def batched_median_query(items, d: int, row_votes) -> list:
-    """Shared median-over-rows batch query (Count Sketch aggregation).
+def batched_min_query(items, gather) -> list:
+    """Min-over-rows batch query (Count-Min aggregation).
 
-    ``row_votes(row_id, uniq)`` returns one row's signed estimates for
-    the deduplicated keys.  Replicates :func:`median` exactly: the
-    middle row for odd ``d`` (an int), the mean of the two middle rows
-    for even ``d`` (a float).
+    ``gather(uniq)`` returns the ``(d, n)`` counter values of the
+    deduplicated keys, one row per sketch row.
     """
-    items, _ = as_batch(items)
-    if len(items) == 0:
-        return []
-    uniq, inverse = np.unique(items, return_inverse=True)
-    votes = np.empty((d, len(uniq)), dtype=np.int64)
-    for row_id in range(d):
-        votes[row_id] = row_votes(row_id, uniq)
-    votes.sort(axis=0)
-    mid = d // 2
-    if d % 2:
-        return votes[mid][inverse].tolist()
-    est = (votes[mid - 1] + votes[mid]) / 2
-    return est[inverse].tolist()
+    return batched_query(
+        items, lambda uniq: _kernels.min_over_rows(gather(uniq)))
+
+
+def batched_median_query(items, gather) -> list:
+    """Median-over-rows batch query (Count Sketch aggregation).
+
+    ``gather(uniq)`` returns the ``(d, n)`` signed row votes of the
+    deduplicated keys; :func:`_kernels.median_over_rows` replicates
+    :func:`median` exactly (even ``d`` averages the middle two).
+    """
+    return batched_query(
+        items, lambda uniq: _kernels.median_over_rows(gather(uniq)))
 
 
 class BatchOpsMixin:
     """Default ``update_many``/``query_many``: the per-item loop.
 
-    Every sketch inheriting this exposes the batch API; fast sketches
-    override one or both methods with vectorized paths that are
-    *bit-identical* to this fallback (enforced by
-    ``tests/test_batch_api.py``).  Overrides that are only exact under
-    preconditions (e.g. non-negative values) must delegate back to
-    these defaults when the precondition fails.
+    Every sketch inheriting this exposes the batch API.  Fast sketches
+    override ``update_many`` with a vectorized body behind
+    :func:`batch_door`, which sends every batch the body cannot take
+    exactly back to this per-item loop, and ``query_many`` with
+    :func:`batched_query` (or its min/median forms).  Either way the
+    result is *bit-identical* to this fallback (enforced by
+    ``tests/test_batch_api.py``).
 
     Sketches whose storage is backed by a pluggable row engine
     (:mod:`repro.core.engines`) accept an ``engine=`` kwarg -- plumbed
@@ -234,6 +231,46 @@ class BatchOpsMixin:
         items, _ = as_batch(items)
         query = self.query
         return [query(x) for x in items.tolist()]
+
+
+def batch_door(positive: bool = False, per_item=None):
+    """Declare a vectorized ``update_many`` body behind the one guard.
+
+    The decorated method normalizes the batch through :func:`as_batch`,
+    returns on an empty batch, and then applies three rules in order:
+
+    1. *reject*: with ``positive=True`` (a Cash Register sketch) a
+       value below 1 raises ``ValueError`` before any state changes;
+    2. *headroom fallback*: a batch failing :func:`batch_sum_fits`
+       goes to the :class:`BatchOpsMixin` per-item loop, so int64
+       scratch sums (and running totals) can never wrap;
+    3. *declared fallback*: so does a batch for which
+       ``per_item(self, values)`` holds -- the sketch's own
+       precondition for the body being exact.
+
+    Otherwise the body runs as ``body(self, items, values)`` with
+    non-empty int64 arrays.
+    """
+
+    def wrap(body):
+        @functools.wraps(body)
+        def update_many(self, items, values=None) -> None:
+            items, values = as_batch(items, values)
+            if len(items) == 0:
+                return
+            if positive and int(values.min()) < 1:
+                raise ValueError(
+                    f"{type(self).__name__} is a Cash Register sketch; "
+                    "batch contains a non-positive value")
+            if not batch_sum_fits(values) or (
+                    per_item is not None and per_item(self, values)):
+                BatchOpsMixin.update_many(self, items, values)
+                return
+            body(self, items, values)
+
+        return update_many
+
+    return wrap
 
 
 def width_for_memory(memory_bytes: int, d: int, counter_bits: int,

@@ -20,7 +20,12 @@ from array import array
 import numpy as np
 
 from repro.hashing import HashFamily, mix64
-from repro.sketches.base import BatchOpsMixin, StreamModel, as_batch
+from repro.sketches.base import (
+    BatchOpsMixin,
+    StreamModel,
+    batch_door,
+    batched_query,
+)
 
 
 class ColdFilter(BatchOpsMixin):
@@ -116,7 +121,8 @@ class ColdFilter(BatchOpsMixin):
         return cls(w1=w1, stage2=stage2, d1=d1, stage1_bits=stage1_bits,
                    seed=seed)
 
-    def update_many(self, items, values=None) -> None:
+    @batch_door(positive=True)
+    def update_many(self, items, values) -> None:
         """Batched two-stage filtering.
 
         All stage-1 indices hash in one vectorized pass.  Stage-1
@@ -130,12 +136,6 @@ class ColdFilter(BatchOpsMixin):
         handed to ``stage2.update_many`` in one call, which stage 2's
         own batch contract makes equivalent to per-item spills.
         """
-        items, values = as_batch(items, values)
-        n = len(items)
-        if n == 0:
-            return
-        if int(values.min()) < 1:
-            raise ValueError("Cold Filter is a Cash Register framework")
         idx2d = self.hashes.index_matrix(items, self.w1, self.d1)
         stage1_view = np.frombuffer(self.stage1, dtype=np.int64)
         threshold = self.threshold
@@ -172,20 +172,20 @@ class ColdFilter(BatchOpsMixin):
 
     def query_many(self, items) -> list:
         """Batched query: stage-1 gather + stage-2 batch query."""
-        items, _ = as_batch(items)
-        if len(items) == 0:
-            return []
-        uniq, inverse = np.unique(items, return_inverse=True)
-        idx2d = self.hashes.index_matrix(uniq, self.w1, self.d1)
-        est = np.frombuffer(self.stage1, dtype=np.int64)[idx2d].min(axis=0)
-        hot = est >= self.threshold
-        out = est.astype(object)
-        if hot.any():
+
+        def estimate(uniq):
+            idx2d = self.hashes.index_matrix(uniq, self.w1, self.d1)
+            est = np.frombuffer(self.stage1,
+                                dtype=np.int64)[idx2d].min(axis=0)
+            hot = est >= self.threshold
+            if not hot.any():
+                return est
+            out = est.astype(object)
             out[hot] = [self.threshold + e
                         for e in self.stage2.query_many(uniq[hot])]
-        else:
-            out = est
-        return out[inverse].tolist()
+            return out
+
+        return batched_query(items, estimate)
 
     # ------------------------------------------------------------------
     @property

@@ -17,10 +17,9 @@ from repro.hashing import HashFamily, mix64
 from repro.sketches.base import (
     BatchOpsMixin,
     StreamModel,
-    as_batch,
-    batch_sum_fits,
-    collapse_runs,
+    batch_door,
     batched_min_query,
+    collapse_runs,
     width_for_memory,
 )
 
@@ -93,7 +92,8 @@ class ConservativeUpdateSketch(BatchOpsMixin):
     # ------------------------------------------------------------------
     # batch pipeline
     # ------------------------------------------------------------------
-    def update_many(self, items, values=None) -> None:
+    @batch_door(positive=True)
+    def update_many(self, items, values) -> None:
         """Batched conservative update.
 
         The pre-update minimum couples rows, so the walk stays ordered;
@@ -101,17 +101,6 @@ class ConservativeUpdateSketch(BatchOpsMixin):
         (``update(x, a); update(x, b) == update(x, a + b)``, with the
         saturating cap absorbing) and all hashing vectorizes up front.
         """
-        items, values = as_batch(items, values)
-        if len(items) == 0:
-            return
-        if int(values.min()) <= 0:
-            raise ValueError(
-                "CUS is a Cash Register sketch; batch contains a "
-                "non-positive value"
-            )
-        if not batch_sum_fits(values):
-            BatchOpsMixin.update_many(self, items, values)
-            return
         items, values = collapse_runs(items, values)
         idx_rows = [self.hashes.index_many(items, row_id, self.w).tolist()
                     for row_id in range(self.d)]
@@ -130,11 +119,14 @@ class ConservativeUpdateSketch(BatchOpsMixin):
     def query_many(self, items) -> list:
         """Fully vectorized batch query (min over row gathers)."""
 
-        def row_values(row_id, uniq):
-            idxs = self.hashes.index_many(uniq, row_id, self.w)
-            return np.frombuffer(self.rows[row_id], dtype=np.int64)[idxs]
+        def gather(uniq):
+            out = np.empty((self.d, len(uniq)), dtype=np.int64)
+            for row_id, row in enumerate(self.rows):
+                idxs = self.hashes.index_many(uniq, row_id, self.w)
+                out[row_id] = np.frombuffer(row, dtype=np.int64)[idxs]
+            return out
 
-        return batched_min_query(items, self.d, row_values)
+        return batched_min_query(items, gather)
 
     # ------------------------------------------------------------------
     @property

@@ -24,8 +24,8 @@ from repro.sketches.base import (
     BatchOpsMixin,
     StreamModel,
     aggregate_batch,
-    as_batch,
-    batch_sum_fits,
+    batch_door,
+    batched_min_query,
     width_for_memory,
 )
 
@@ -108,7 +108,9 @@ class CountMinSketch(BatchOpsMixin):
     # ------------------------------------------------------------------
     # batch pipeline (matrix kernels)
     # ------------------------------------------------------------------
-    def update_many(self, items, values=None) -> None:
+    @batch_door(per_item=lambda self, values: (
+        int(values.min()) < 0 or self.counter_bits >= 63))
+    def update_many(self, items, values) -> None:
         """Fully vectorized batch update: one 2D kernel call.
 
         Positive inflows into saturating counters are order-free (the
@@ -116,30 +118,16 @@ class CountMinSketch(BatchOpsMixin):
         hash in one stacked ``mix64_many`` call, and the counters take
         one matrix scatter-add.  Negative values (Strict Turnstile
         deletions) clamp at zero per step, which is order-sensitive,
-        so they use the exact per-item fallback; so do >=63-bit
-        counters and batches whose total inflow nears the int64
-        scratch space.
+        so they take the per-item loop; so do >=63-bit counters.
         """
-        items, values = as_batch(items, values)
-        if len(items) == 0:
-            return
-        if (int(values.min()) < 0 or self.counter_bits >= 63
-                or not batch_sum_fits(values)):
-            BatchOpsMixin.update_many(self, items, values)
-            return
         uniq, sums = aggregate_batch(items, values)
         idx2d = self.hashes.index_matrix(uniq, self.w, self.d)
         _kernels.scatter_add_capped(self.mat, idx2d, sums, self.cap)
 
     def query_many(self, items) -> list:
         """Fully vectorized batch query: one gather + min over rows."""
-        items, _ = as_batch(items)
-        if len(items) == 0:
-            return []
-        uniq, inverse = np.unique(items, return_inverse=True)
-        idx2d = self.hashes.index_matrix(uniq, self.w, self.d)
-        est = _kernels.min_over_rows(_kernels.gather_2d(self.mat, idx2d))
-        return est[inverse].tolist()
+        return batched_min_query(items, lambda uniq: _kernels.gather_2d(
+            self.mat, self.hashes.index_matrix(uniq, self.w, self.d)))
 
     # ------------------------------------------------------------------
     @property

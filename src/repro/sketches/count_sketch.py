@@ -28,7 +28,9 @@ from repro.sketches.base import (
     StreamModel,
     aggregate_batch,
     as_batch,
+    batch_door,
     batch_sum_fits,
+    batched_median_query,
     median,
     width_for_memory,
 )
@@ -115,11 +117,9 @@ class CountSketch(BatchOpsMixin):
     # ------------------------------------------------------------------
     # batch pipeline (matrix kernels)
     # ------------------------------------------------------------------
-    def _batch_fast_ok(self, values: np.ndarray) -> bool:
-        """Whether the vectorized kernels may run on this batch."""
-        return self.counter_bits < 63 and batch_sum_fits(values)
-
-    def update_many(self, items, values=None) -> None:
+    @batch_door(per_item=lambda self, values: (
+        int(values.min()) < 0 or self.counter_bits >= 63))
+    def update_many(self, items, values) -> None:
         """Vectorized batch update with a per-row clamp guard.
 
         A key keeps one sign per row, so duplicates aggregate; the
@@ -130,12 +130,6 @@ class CountSketch(BatchOpsMixin):
         counter (true except for deliberately tiny counters);
         otherwise that row replays in stream order.
         """
-        items, values = as_batch(items, values)
-        if len(items) == 0:
-            return
-        if int(values.min()) < 0 or not self._batch_fast_ok(values):
-            BatchOpsMixin.update_many(self, items, values)
-            return
         uniq, sums = aggregate_batch(items, values)
         raw2d = self.hashes.raw_matrix(uniq, self.d)
         idx2d = (raw2d & np.uint64(self.w - 1)).astype(np.int64)
@@ -174,7 +168,7 @@ class CountSketch(BatchOpsMixin):
         n = len(items)
         if n == 0:
             return np.empty(0, dtype=np.int64)
-        if not self._batch_fast_ok(values):
+        if self.counter_bits >= 63 or not batch_sum_fits(values):
             return None
         raw2d = self.hashes.raw_matrix(items, self.d)
         idx2d = (raw2d & np.uint64(self.w - 1)).astype(np.int64)
@@ -193,15 +187,8 @@ class CountSketch(BatchOpsMixin):
 
     def query_many(self, items) -> list:
         """Vectorized batch query: exact median over one 2D gather."""
-        items, _ = as_batch(items)
-        if len(items) == 0:
-            return []
-        uniq, inverse = np.unique(items, return_inverse=True)
-        raw2d = self.hashes.raw_matrix(uniq, self.d)
-        idx2d = (raw2d & np.uint64(self.w - 1)).astype(np.int64)
-        vals = _kernels.gather_2d(self.mat, idx2d)
-        votes = np.where(raw2d >> np.uint64(63), vals, -vals)
-        return _kernels.median_over_rows(votes)[inverse].tolist()
+        return batched_median_query(items, lambda uniq: _kernels.signed_votes(
+            self.mat, self.hashes.raw_matrix(uniq, self.d)))
 
     # ------------------------------------------------------------------
     @property

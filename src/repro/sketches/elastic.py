@@ -22,7 +22,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hashing import HashFamily, mix64, mix64_many
-from repro.sketches.base import BatchOpsMixin, StreamModel, as_batch
+from repro.sketches.base import (
+    BatchOpsMixin,
+    StreamModel,
+    batch_door,
+    batched_query,
+)
 from repro.sketches.count_min import CountMinSketch
 
 #: Eviction threshold: evict when negative_votes / positive_votes
@@ -145,7 +150,8 @@ class ElasticSketch(BatchOpsMixin):
                 f"{memory_bytes}B cannot hold an Elastic Sketch")
         return cls(heavy_buckets=buckets, light_memory=light, seed=seed)
 
-    def update_many(self, items, values=None) -> None:
+    @batch_door(positive=True)
+    def update_many(self, items, values) -> None:
         """Batched insertion: vectorized bucket hashing, deferred light.
 
         The heavy part's ostracism is order-dependent, so the bucket
@@ -156,11 +162,6 @@ class ElasticSketch(BatchOpsMixin):
         ``light.update_many`` call at the end lands it in the exact
         per-item state.
         """
-        items, values = as_batch(items, values)
-        if len(items) == 0:
-            return
-        if int(values.min()) <= 0:
-            raise ValueError("Elastic Sketch is Cash-Register-only")
         self.n += int(values.sum())
         bidx = (mix64_many(items.view(np.uint64)
                            ^ np.uint64(mix64(self.seed)))
@@ -200,25 +201,25 @@ class ElasticSketch(BatchOpsMixin):
 
     def query_many(self, items) -> list:
         """Batched query: one light-part gather + a heavy lookup pass."""
-        items, _ = as_batch(items)
-        if len(items) == 0:
-            return []
-        uniq, inverse = np.unique(items, return_inverse=True)
-        light_est = self.light.query_many(uniq)
-        bidx = (mix64_many(uniq.view(np.uint64)
-                           ^ np.uint64(mix64(self.seed)))
-                & np.uint64(self.heavy_buckets - 1)).astype(np.int64)
-        buckets = self._buckets
-        out = []
-        for item, i, light in zip(uniq.tolist(), bidx.tolist(), light_est):
-            bucket = buckets[i]
-            if bucket.key == item:
-                out.append(bucket.positive + light if bucket.flag
-                           else bucket.positive)
-            else:
-                out.append(light)
-        est = np.asarray(out)
-        return est[inverse].tolist()
+
+        def estimate(uniq):
+            light_est = self.light.query_many(uniq)
+            bidx = (mix64_many(uniq.view(np.uint64)
+                               ^ np.uint64(mix64(self.seed)))
+                    & np.uint64(self.heavy_buckets - 1)).astype(np.int64)
+            buckets = self._buckets
+            out = []
+            for item, i, light in zip(uniq.tolist(), bidx.tolist(),
+                                      light_est):
+                bucket = buckets[i]
+                if bucket.key == item:
+                    out.append(bucket.positive + light if bucket.flag
+                               else bucket.positive)
+                else:
+                    out.append(light)
+            return out
+
+        return batched_query(items, estimate)
 
     def heavy_entries(self) -> list[tuple[int, int]]:
         """Resident ``(item, count)`` pairs, largest first."""

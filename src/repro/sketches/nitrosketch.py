@@ -32,7 +32,13 @@ import numpy as np
 
 from repro.hashing import HashFamily
 from repro.sketches import _kernels
-from repro.sketches.base import BatchOpsMixin, StreamModel, as_batch, median
+from repro.sketches.base import (
+    BatchOpsMixin,
+    StreamModel,
+    batch_door,
+    batched_median_query,
+    median,
+)
 
 
 class NitroSketch(BatchOpsMixin):
@@ -125,7 +131,8 @@ class NitroSketch(BatchOpsMixin):
     # ------------------------------------------------------------------
     # batch pipeline
     # ------------------------------------------------------------------
-    def update_many(self, items, values=None) -> None:
+    @batch_door()
+    def update_many(self, items, values) -> None:
         """Batched geometric sampling: event-driven draws, bulk apply.
 
         The skip countdowns advance packet by packet and every firing
@@ -136,10 +143,7 @@ class NitroSketch(BatchOpsMixin):
         accumulates them with ``np.add.at`` (in-order per counter, so
         float addition order matches too).
         """
-        items, values = as_batch(items, values)
         n = len(items)
-        if n == 0:
-            return
         self.n += int(values.sum())
         d = self.d
         fired: list[list[int]] = [[] for _ in range(d)]
@@ -180,15 +184,8 @@ class NitroSketch(BatchOpsMixin):
 
     def query_many(self, items) -> list:
         """Vectorized batch query: exact float median over row gathers."""
-        items, _ = as_batch(items)
-        if len(items) == 0:
-            return []
-        uniq, inverse = np.unique(items, return_inverse=True)
-        raw2d = self.hashes.raw_matrix(uniq, self.d)
-        idx2d = (raw2d & np.uint64(self.w - 1)).astype(np.int64)
-        vals = _kernels.gather_2d(self._rows, idx2d)
-        votes = np.where(raw2d >> np.uint64(63), vals, -vals)
-        return _kernels.median_over_rows(votes)[inverse].tolist()
+        return batched_median_query(items, lambda uniq: _kernels.signed_votes(
+            self._rows, self.hashes.raw_matrix(uniq, self.d)))
 
     @property
     def memory_bytes(self) -> int:

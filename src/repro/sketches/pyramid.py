@@ -30,8 +30,8 @@ from repro.sketches.base import (
     BatchOpsMixin,
     StreamModel,
     aggregate_batch,
-    as_batch,
-    batch_sum_fits,
+    batch_door,
+    batched_min_query,
 )
 
 
@@ -166,7 +166,8 @@ class PyramidSketch(BatchOpsMixin):
     # ------------------------------------------------------------------
     # batch pipeline
     # ------------------------------------------------------------------
-    def update_many(self, items, values=None) -> None:
+    @batch_door(positive=True)
+    def update_many(self, items, values) -> None:
         """Fully vectorized batch update via carry arithmetic.
 
         A layer counter receiving ``k`` unit increments counts in base
@@ -178,14 +179,6 @@ class PyramidSketch(BatchOpsMixin):
         indices hash in one stacked pass, and carries propagate
         layer by layer with one modular step each.
         """
-        items, values = as_batch(items, values)
-        if len(items) == 0:
-            return
-        if int(values.min()) < 1:
-            raise ValueError("Pyramid is a Cash Register sketch")
-        if not batch_sum_fits(values):
-            BatchOpsMixin.update_many(self, items, values)
-            return
         uniq, sums = aggregate_batch(items, values)
         idx2d = self.hashes.index_matrix(uniq, self.w1, self.d)
         idxs, carries = _kernels._aggregate_flat(
@@ -220,10 +213,11 @@ class PyramidSketch(BatchOpsMixin):
             if shift_guard > 62 and any(self.flags[layer]):
                 return BatchOpsMixin.query_many(self, items)
             shift_guard += self.delta - 2
-        items, _ = as_batch(items)
-        if len(items) == 0:
-            return []
-        uniq, inverse = np.unique(items, return_inverse=True)
+        return batched_min_query(items, self._gather)
+
+    def _gather(self, uniq):
+        """``(d, n)`` reconstructed counter values of keys ``uniq``:
+        a masked carry-chain walk over the distinct layer-1 counters."""
         idx2d = self.hashes.index_matrix(uniq, self.w1, self.d)
         ridx, rinv = np.unique(idx2d.ravel(), return_inverse=True)
         totals = np.frombuffer(self.values[0], dtype=np.int64)[ridx].copy()
@@ -242,8 +236,7 @@ class PyramidSketch(BatchOpsMixin):
             totals[active] += vals[parents[active]] << shift
             shift += self.delta - 2
             child = parents
-        est = totals[rinv].reshape(idx2d.shape).min(axis=0)
-        return est[inverse].tolist()
+        return totals[rinv].reshape(idx2d.shape)
 
     # ------------------------------------------------------------------
     @property

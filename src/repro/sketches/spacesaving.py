@@ -27,8 +27,7 @@ from repro.sketches.base import (
     BatchOpsMixin,
     StreamModel,
     aggregate_batch,
-    as_batch,
-    batch_sum_fits,
+    batch_door,
     collapse_runs,
 )
 
@@ -149,7 +148,8 @@ class SpaceSaving(BatchOpsMixin):
     # ------------------------------------------------------------------
     # batch pipeline
     # ------------------------------------------------------------------
-    def update_many(self, items, values=None) -> None:
+    @batch_door(positive=True)
+    def update_many(self, items, values) -> None:
         """Batched update: pre-aggregate duplicates, then walk misses.
 
         Space-Saving is order-dependent only through *misses* (each
@@ -162,14 +162,6 @@ class SpaceSaving(BatchOpsMixin):
         (``update(x, a); update(x, b) == update(x, a + b)``) and the
         collapsed stream is walked in order.
         """
-        items, values = as_batch(items, values)
-        if len(items) == 0:
-            return
-        if int(values.min()) <= 0:
-            raise ValueError("Space-Saving is Cash-Register-only")
-        if not batch_sum_fits(values):
-            BatchOpsMixin.update_many(self, items, values)
-            return
         table = self._table
         if table and self._agg_backoff == 0:
             uniq, sums = aggregate_batch(items, values)

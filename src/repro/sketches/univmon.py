@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from repro.hashing import HashFamily, mix64, mix64_many
-from repro.sketches.base import BatchOpsMixin, StreamModel, as_batch
+from repro.sketches.base import BatchOpsMixin, StreamModel, batch_door
 from repro.sketches.count_sketch import CountSketch
 
 
@@ -143,7 +143,8 @@ class UnivMon(BatchOpsMixin):
         bits = (mix64_many(keys) & np.uint64(1)).astype(bool)
         return np.logical_and.accumulate(bits, axis=0).sum(axis=0)
 
-    def update_many(self, items, values=None) -> None:
+    @batch_door(positive=True)
+    def update_many(self, items, values) -> None:
         """Batched update: vectorized level assignment, then one
         matrix-kernel pass per level with exact heap replay.
 
@@ -157,11 +158,6 @@ class UnivMon(BatchOpsMixin):
         not a vectorizable plain Count Sketch (or could clamp
         mid-batch) take the exact per-item walk instead.
         """
-        items, values = as_batch(items, values)
-        if len(items) == 0:
-            return
-        if int(values.min()) < 1:
-            raise ValueError("UnivMon is used on Cash Register streams")
         self.volume += int(values.sum())
         deepest = self._deepest_levels(items)
         for j in range(self.levels):

@@ -195,12 +195,28 @@ def test_turnstile_batches_match(name):
                         for r in reference.rows])
 
 
-@pytest.mark.parametrize("name", ["cus", "salsa-cus", "abc", "spacesaving",
-                                  "salsa-aee"])
+#: Sketches whose batch door is declared Cash Register.
+CASH_REGISTER = ("cus", "cus-8bit", "abc", "spacesaving", "salsa-cus",
+                 "salsa-aee")
+
+
+@pytest.mark.parametrize("name", CASH_REGISTER)
 def test_cash_register_batches_reject_nonpositive(name):
+    """A batch holding a value < 1 raises before any state changes:
+    the sketch still answers like a twin that never saw the batch."""
     factory, _ = FACTORIES[name]
-    with pytest.raises(ValueError):
-        factory().update_many([1, 2, 3], [1, 0, 1])
+    items, _ = STREAMS["random-unit"]
+    sketch, twin = factory(), factory()
+    _feed_per_item(sketch, items[:500], None)
+    _feed_per_item(twin, items[:500], None)
+    for bad_items, bad_values in (([1, 2, 3], [1, 0, 1]),
+                                  ([5, 6], [4, -2])):
+        with pytest.raises(ValueError):
+            sketch.update_many(bad_items, bad_values)
+    probe = sorted(set(items[:500].tolist()) | {1, 2, 3, 5, 6})
+    assert sketch.query_many(probe) == twin.query_many(probe)
+    assert getattr(sketch, "volume", None) == getattr(twin, "volume", None)
+    assert getattr(sketch, "n", None) == getattr(twin, "n", None)
 
 
 def test_update_many_accepts_traces_and_lists():
@@ -268,6 +284,12 @@ def test_huge_inflow_batches_cannot_wrap_int64():
     cs = CountSketch(w=2, d=1, counter_bits=62, seed=0)
     cs.update_many(items, values)
     assert abs(cs.query(0)) == cs.max_val
+    # Even d: the batch median averages the two middle votes, whose
+    # int64 sum would wrap here (2 * 2^62); it must match the per-item
+    # mean of Python ints.
+    salsa = SalsaCountSketch(w=64, d=4, s=8, seed=1)
+    salsa.update(5, 1 << 62)
+    assert salsa.query_many([5]) == [salsa.query(5)] == [float(1 << 62)]
 
 
 # ----------------------------------------------------------------------
@@ -317,22 +339,22 @@ def test_collapse_runs_preserves_order():
 
 
 # ----------------------------------------------------------------------
-# SalsaRow.add_batch
+# SalsaRow.add_batch_partial
 # ----------------------------------------------------------------------
-def test_add_batch_is_all_or_nothing():
-    row = SalsaRow(w=8, s=8)
-    assert row.add_batch([0, 1, 2], [10, 20, 30])
+def test_add_batch_partial_leaves_dirty_superblock_untouched():
+    row = SalsaRow(w=8, s=8)  # max_level 3: the row is one superblock
+    assert row.add_batch_partial([0, 1, 2], [10, 20, 30]) is None
     assert [row.read(j) for j in (0, 1, 2)] == [10, 20, 30]
     # 0 could absorb 200 but 2 would overflow: nothing may change.
-    assert not row.add_batch([0, 2], [200, 250])
+    assert row.add_batch_partial([0, 2], [200, 250]).tolist() == [True]
     assert [row.read(j) for j in (0, 1, 2)] == [10, 20, 30]
     assert row.merge_events == 0
 
 
-def test_add_batch_rejects_negative_on_unsigned_rows():
+def test_add_batch_partial_defers_negative_on_unsigned_rows():
     row = SalsaRow(w=8, s=8)
     row.add(3, 100)
-    assert not row.add_batch([3], [-5])
+    assert row.add_batch_partial([3], [-5]).tolist() == [True]
     assert row.read(3) == 100
 
 

@@ -51,8 +51,9 @@ FACTORIES = {
     "pyramid-deep": lambda: PyramidSketch(w1=16, d=3, delta=4, seed=3),
 }
 
-#: Sketches whose update accepts only positive values.
-CASH_REGISTER = ("elastic", "univmon", "coldfilter-cus", "pyramid")
+#: Sketches whose batch door is declared Cash Register.
+CASH_REGISTER = ("elastic", "univmon", "univmon-8bit", "coldfilter-cus",
+                 "coldfilter-cms", "pyramid", "pyramid-deep")
 
 
 def _streams():
@@ -122,8 +123,38 @@ def test_batch_protocol_and_empty_batches(name):
 
 @pytest.mark.parametrize("name", CASH_REGISTER)
 def test_cash_register_batches_reject_nonpositive(name):
-    with pytest.raises(ValueError):
-        FACTORIES[name]().update_many([1, 2, 3], [1, 0, 1])
+    """A batch holding a value < 1 raises before any state changes:
+    the sketch still answers like a twin that never saw the batch."""
+    items, _ = STREAMS["hot-key"]
+    sketch, twin = FACTORIES[name](), FACTORIES[name]()
+    _feed_per_item(sketch, items[:500], None)
+    _feed_per_item(twin, items[:500], None)
+    for bad_items, bad_values in (([1, 2, 3], [1, 0, 1]),
+                                  ([5, 6], [4, -2])):
+        with pytest.raises(ValueError):
+            sketch.update_many(bad_items, bad_values)
+    probe = _probe(items[:500]) + [1, 2, 3, 5, 6]
+    assert sketch.query_many(probe) == twin.query_many(probe)
+    assert getattr(sketch, "volume", None) == getattr(twin, "volume", None)
+    assert getattr(sketch, "n", None) == getattr(twin, "n", None)
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name in FACTORIES if not name.startswith("pyramid")))
+def test_huge_total_batches_match_per_item(name):
+    """Four updates of 2^62 total 2^64: the batch door must not wrap the
+    stream total (``n``/``volume``) that the per-item path keeps exact.
+    Pyramid is left out: its per-item update steps ``value`` times."""
+    items = np.array([1, 2, 1, 3], dtype=np.int64)
+    values = np.full(4, 1 << 62, dtype=np.int64)
+    reference, batched = FACTORIES[name](), FACTORIES[name]()
+    _feed_per_item(reference, items, values)
+    batched.update_many(items, values)
+    for total in ("n", "volume"):
+        assert getattr(batched, total, None) == getattr(reference, total,
+                                                        None)
+    probe = [1, 2, 3, 4]
+    assert batched.query_many(probe) == [reference.query(x) for x in probe]
 
 
 def test_nitro_turnstile_deletions_match():

@@ -155,19 +155,32 @@ def test_row_add_lockstep(stream, merge, signed):
                     row.saturations) == expected
 
 
-def test_row_add_batch_lockstep():
+def masks_equal(a, b) -> bool:
+    """Two ``add_batch_partial`` dirty masks (``None`` = all clean)."""
+    if a is None or b is None:
+        return a is b
+    return a.tolist() == b.tolist()
+
+
+def test_row_add_batch_partial_lockstep():
+    """Both engines report the same dirty superblocks, and bulk apply
+    plus a replay of the dirty updates equals the per-item walk."""
     rng = np.random.default_rng(3)
     a, b = make_pair(w=32, s=4)
+    reference = SalsaRow(w=32, s=4)
     for _ in range(50):
-        idxs = rng.integers(0, 32, 40).tolist()
-        vals = rng.integers(1, 5, 40).tolist()
-        ra, rb = a.add_batch(idxs, vals), b.add_batch(idxs, vals)
-        assert ra == rb
-        if not ra:  # replay, as a sketch would
-            for j, v in zip(idxs, vals):
-                a.add(j, v)
-                b.add(j, v)
-    assert row_state(a) == row_state(b)
+        idxs = rng.integers(0, 32, 40)
+        vals = rng.integers(1, 5, 40)
+        ra, rb = a.add_batch_partial(idxs, vals), b.add_batch_partial(idxs,
+                                                                      vals)
+        assert masks_equal(ra, rb)
+        if ra is not None:  # replay, as a sketch would
+            sel = ra[idxs >> a.max_level]
+            a.add_ordered(idxs[sel], vals[sel])
+            b.add_ordered(idxs[sel], vals[sel])
+        for j, v in zip(idxs.tolist(), vals.tolist()):
+            reference.add(j, v)
+    assert row_state(a) == row_state(b) == row_state(reference)
 
 
 def test_add_batch_partial_applies_clean_superblocks_only():
@@ -179,16 +192,16 @@ def test_add_batch_partial_applies_clean_superblocks_only():
         assert dirty is not None and dirty.tolist() == [True, False]
         assert row.read(0) == 250   # dirty superblock untouched
         assert row.read(8) == 7     # clean superblock applied
-        # check-only mode must not write.
+        # planning alone must not write.
         before = row_state(row)
-        mask = row.add_batch_partial([0], [100], apply=False)
-        assert mask is not None and row_state(row) == before
+        plan = row.plan_add_batch([0], [100])
+        assert plan.dirty_mask is not None and row_state(row) == before
 
 
-def test_add_batch_rejects_negative_on_unsigned_vector_rows():
+def test_add_batch_partial_defers_negative_on_unsigned_vector_rows():
     row = SalsaRow(w=8, s=8, engine="vector")
     row.add(3, 100)
-    assert not row.add_batch([3], [-5])
+    assert row.add_batch_partial([3], [-5]).tolist() == [True]
     assert row.read(3) == 100
 
 
@@ -300,10 +313,11 @@ class EngineLockstepMachine(RuleBasedStateMachine):
     @rule(data=st.lists(st.tuples(st.integers(min_value=0, max_value=15),
                                   st.integers(min_value=1, max_value=9)),
                         max_size=12))
-    def add_batch(self, data):
+    def add_batch_partial(self, data):
         idxs = [j for j, _ in data]
         vals = [v for _, v in data]
-        assert self.a.add_batch(idxs, vals) == self.b.add_batch(idxs, vals)
+        assert masks_equal(self.a.add_batch_partial(idxs, vals),
+                           self.b.add_batch_partial(idxs, vals))
 
     @rule(data=st.lists(st.tuples(st.integers(min_value=0, max_value=15),
                                   st.integers(min_value=-9, max_value=40)),
