@@ -44,6 +44,7 @@ from repro.core.compact import (
     encoding_bits,
 )
 from repro.core.layout import MergeBitLayout
+from repro.sketches._kernels import stable_argsort
 
 #: Layout encodings (accounting identities shared by every engine).
 SIMPLE = "simple"
@@ -256,6 +257,27 @@ class RowEngine:
         bit-packed engine keeps exactly those semantics.
         """
         return np.ones(self.w >> self.max_level, dtype=bool)
+
+    def may_saturate(self, sb_ids, inflow) -> np.ndarray:
+        """Could the counters of superblock ``sb_ids[k]`` pass the
+        top-level field limit once ``inflow[k]`` more arrives (unsigned
+        rows, conservative or additive raises)?
+
+        A raise lifts a counter by at most its value and a max-merge
+        keeps the larger value, so no counter passes the superblock's
+        largest value plus its inflow.  Below the top level a counter
+        fits the field one level down; only a counter spanning the
+        whole superblock is read.
+        """
+        top = self.max_level
+        limit = (1 << (self.s << top)) - 1
+        below = (1 << (self.s << top >> 1)) - 1
+        risky = []
+        for sb, total in zip(sb_ids.tolist(), inflow.tolist()):
+            level, start = self.locate(sb << top)
+            peak = self.read_block(start, level) if level == top else below
+            risky.append(peak + total > limit)
+        return np.array(risky, dtype=bool)
 
     # -- accounting / lifecycle ----------------------------------------
     @property
@@ -509,12 +531,11 @@ class VectorRowEngine(RowEngine):
         return (np.abs(delta).astype(np.uint64)
                 <= np.where(delta >= 0, up, down))
 
-    @staticmethod
-    def _group(starts):
+    def _group(self, starts):
         """Stable sort by counter start: ``(order, sorted_starts,
         head)``, ``head`` flagging each counter's first entry in sorted
         order (the ``np.add.reduceat`` segment heads)."""
-        order = np.argsort(starts, kind="stable")
+        order = stable_argsort(starts, self.w)
         s_sorted = starts[order]
         head = np.empty(s_sorted.size, dtype=bool)
         head[0] = True
@@ -528,7 +549,9 @@ class VectorRowEngine(RowEngine):
         idxs = np.ascontiguousarray(idxs, dtype=np.int64)
         vals = np.ascontiguousarray(values, dtype=np.int64)
         starts = self.starts[idxs]
-        amag = np.abs(vals)
+        # A batch without deletions (every Cash Register one) has
+        # mag == net: one aggregation serves both.
+        amag = vals if int(vals.min()) >= 0 else np.abs(vals)
         # Path choice via a float64 sum: it cannot wrap, and either
         # branch is exact -- this only decides which one runs.
         if float(amag.sum(dtype=np.float64)) < float(1 << 52):
@@ -536,10 +559,11 @@ class VectorRowEngine(RowEngine):
             # sums of integers are exact while every partial sum stays
             # below 2^53, which the total-magnitude guard ensures.
             net_f = np.bincount(starts, weights=vals, minlength=self.w)
-            mag_f = np.bincount(starts, weights=amag, minlength=self.w)
+            mag_f = (net_f if amag is vals else
+                     np.bincount(starts, weights=amag, minlength=self.w))
             ustarts = np.flatnonzero(mag_f)
             net = net_f[ustarts].astype(np.int64)
-            mag = mag_f[ustarts].astype(np.int64)
+            mag = net if amag is vals else mag_f[ustarts].astype(np.int64)
         else:
             # Huge-magnitude batches: sort + segmented sums, an
             # int64-exact groupby.
@@ -547,7 +571,8 @@ class VectorRowEngine(RowEngine):
             first = np.flatnonzero(head)
             ustarts = s_sorted[first]
             net = np.add.reduceat(vals[order], first)
-            mag = np.add.reduceat(amag[order], first)
+            mag = (net if amag is vals else
+                   np.add.reduceat(amag[order], first))
         up, down = self._room(self.values[ustarts], self.levels[ustarts])
         mag_u = mag.astype(np.uint64)
         if self.signed:
@@ -672,6 +697,16 @@ class VectorRowEngine(RowEngine):
                 dirty |= plan.dirty_mask
             self.apply_plan(plan)
         return dirty if dirty.any() else None
+
+    def may_saturate(self, sb_ids, inflow) -> np.ndarray:
+        """Vectorized :meth:`RowEngine.may_saturate` (exact uint64:
+        a peak never passes its limit, so ``limit - peak`` cannot
+        wrap)."""
+        top = self.max_level
+        heads = sb_ids << top
+        below = self._limit[top - 1] if top else np.uint64(0)
+        peak = np.where(self.levels[heads] == top, self.values[heads], below)
+        return inflow.astype(np.uint64) > self._limit[top] - peak
 
     # -- accounting / lifecycle ----------------------------------------
     @property

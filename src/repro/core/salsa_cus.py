@@ -20,9 +20,9 @@ from repro.sketches.base import (
     StreamModel,
     batch_door,
     batched_min_query,
-    collapse_runs,
     width_for_memory,
 )
+from repro.sketches._kernels import conservative_schedule
 
 
 class SalsaConservativeUpdate(BatchOpsMixin):
@@ -93,131 +93,158 @@ class SalsaConservativeUpdate(BatchOpsMixin):
     # ------------------------------------------------------------------
     @batch_door(positive=True)
     def update_many(self, items, values) -> None:
-        """Batched conservative update.
+        """Batched conservative update, bit-identical to the per-item
+        walk (values, levels, ``merge_events`` and ``saturations``).
 
         The conservative rule couples rows through the pre-update
-        minimum, so updates cannot be reordered -- but back-to-back
-        updates of one key fuse exactly (``update(x, a); update(x, b)
-        == update(x, a + b)``), and hashing vectorizes.  We collapse
-        consecutive duplicate runs, hash each row once for the whole
-        batch, and walk the collapsed stream in order.
+        minimum, so only updates touching disjoint counters in every
+        row may reorder.  Vector-engine rows run the batch through
+        :func:`~repro.sketches._kernels.conservative_schedule`:
 
-        On vector-engine rows the walk additionally drops onto plain
-        Python lists of the decoded counters wherever it provably can:
-        each conservative update raises a counter by at most its own
-        value, so a counter whose current value plus its total batch
-        inflow fits its width cannot merge during the batch.
-        Superblocks passing that check are served from lists (no
-        per-step engine calls); slots in the rare *dirty* superblocks
-        keep using the real engine ops, which perform any merges.  The
-        walk stays in stream order throughout, so it is bit-identical
-        to the per-item path.
+        * *keys* -- in a superblock that
+          ``plan_add_batch(...).dirty_mask`` proves merge-free, an
+          update's key is its counter start; in a dirty superblock it
+          is the whole superblock (``w + superblock id``), since a
+          merge there can join any of its slots;
+        * *fusion* -- repeats of an item fold into their previous
+          occurrence when nothing in between shares a key with them
+          in any row (never across a possible saturation: each
+          saturating update counts once);
+        * *waves* -- updates whose per-row predecessors are all done
+          run as one step: gather, min, add and an ``np.maximum``
+          store at the counter starts; a raise in a dirty superblock
+          goes through ``SalsaRow.set_at_least``, which performs any
+          merge or saturation;
+        * *tail* -- the few updates left once waves turn narrow walk
+          in stream order.
+
+        Clean merged counters are read and written at their start
+        slot only and re-expanded across their blocks at the end.  The
+        bit-packed engine keeps the reference walk: consecutive
+        repeats fuse under the same saturation guard, then one update
+        at a time.
         """
-        items, values = collapse_runs(items, values)
+        rows = self.rows
         idx_arrays = [self.hashes.index_many(items, row_id, self.w)
                       for row_id in range(self.d)]
-        rows = self.rows
         if all(isinstance(row.engine, VectorRowEngine) for row in rows):
             masks = [row.plan_add_batch(idxs, values).dirty_mask
                      for row, idxs in zip(rows, idx_arrays)]
-            self._hybrid_walk(idx_arrays, values, masks)
+            self._schedule(items, values, idx_arrays, masks)
             return
-        idx_rows = [idxs.tolist() for idxs in idx_arrays]
-        for t, v in enumerate(values.tolist()):
+        level_top = rows[0].max_level
+        sbs = [idxs >> level_top for idxs in idx_arrays]
+        touched = [np.zeros(self.w >> level_top, dtype=bool) for _ in sbs]
+        for mask, sb in zip(touched, sbs):
+            mask[sb] = True
+        fusable = self._fusable(values, sbs, touched)
+        keep = np.empty(len(items), dtype=bool)
+        keep[0] = True
+        np.not_equal(items[1:], items[:-1], out=keep[1:])
+        if fusable is not None:
+            keep |= ~fusable
+        heads = np.flatnonzero(keep)
+        idx_rows = [idxs[heads].tolist() for idxs in idx_arrays]
+        for t, v in enumerate(np.add.reduceat(values, heads).tolist()):
             idxs = [idx_row[t] for idx_row in idx_rows]
             est = min(row.read(j) for row, j in zip(rows, idxs))
             target = est + v
             for row, j in zip(rows, idxs):
                 row.set_at_least(j, target)
 
-    def _hybrid_walk(self, idx_arrays, values, masks) -> None:
-        """Stream-order conservative walk, lists where merge-free.
-
-        ``masks[r]`` flags row ``r``'s dirty superblocks (None = all
-        clean).  Clean slots read/write Python lists of the decoded
-        counters -- valid because no merge can occur there, and the
-        vector engine duplicates a merged counter's value across its
-        block, so reading slot ``j`` is just ``vals[j]``.  Dirty slots
-        go through the engine, merging as the per-item path would;
-        merges stay inside dirty superblocks, so the lists never go
-        stale.  Clean slots are written back in one vectorized store.
-        """
-        rows = self.rows
-        sb_slots = 1 << rows[0].max_level
-        vals = [row.engine.values.tolist() for row in rows]
-        levs = [row.engine.levels.tolist() for row in rows]
-        idx_lists = [idxs.tolist() for idxs in idx_arrays]
-        if all(mask is None for mask in masks):
-            # Wholly merge-free: the tightest loop, no dirty checks.
-            head, *rest = all_rows = list(zip(idx_lists, vals, levs))
-            ir0, vr0, _ = head
-            for t, v in enumerate(values.tolist()):
-                est = vr0[ir0[t]]
-                for ir, vr, _lr in rest:
-                    c = vr[ir[t]]
-                    if c < est:
-                        est = c
-                target = est + v
-                for ir, vr, lr in all_rows:
-                    i = ir[t]
-                    if vr[i] < target:
-                        level = lr[i]
-                        if level:
-                            start = (i >> level) << level
-                            for k in range(start, start + (1 << level)):
-                                vr[k] = target
-                        else:
-                            vr[i] = target
-        else:
-            # Dirty slots are marked with a None sentinel in the value
-            # lists, so the hot loop pays no mask lookups; None routes
-            # the slot through the real engine ops (which may merge).
-            walk = []
-            for row, idx_list, vr, lr, mask in zip(rows, idx_lists, vals,
-                                                   levs, masks):
-                if mask is not None:
-                    for i in np.flatnonzero(np.repeat(mask,
-                                                      sb_slots)).tolist():
-                        vr[i] = None
-                walk.append((idx_list, vr, lr, row.engine.read,
-                             row.set_at_least))
-            (ir0, vr0, _l0, read0, _s0), *tail = walk
-            for t, v in enumerate(values.tolist()):
-                i = ir0[t]
-                est = vr0[i]
-                if est is None:
-                    est = read0(i)
-                for ir, vr, _lr, read, _sal in tail:
-                    i = ir[t]
-                    c = vr[i]
-                    if c is None:
-                        c = read(i)
-                    if c < est:
-                        est = c
-                target = est + v
-                for ir, vr, lr, _read, set_at_least in walk:
-                    i = ir[t]
-                    c = vr[i]
-                    if c is None:
-                        set_at_least(i, target)
-                    elif c < target:
-                        level = lr[i]
-                        if level:
-                            start = (i >> level) << level
-                            for k in range(start, start + (1 << level)):
-                                vr[k] = target
-                        else:
-                            vr[i] = target
-        for row, vr, mask in zip(rows, vals, masks):
-            engine = row.engine
+    def _fusable(self, values, sbs, masks):
+        """Which updates may fuse: False for each update that lands, in
+        some row ``r``, in a superblock flagged by ``masks[r]`` (None:
+        none) whose counters could reach the max-level field limit
+        within the batch (``RowEngine.may_saturate``), since each
+        saturating update counts once.  ``sbs[r]`` holds each update's
+        superblock.  Returns None when every update may fuse."""
+        fusable = None
+        batch = int(values.sum())
+        for row, sb, mask in zip(self.rows, sbs, masks):
             if mask is None:
-                engine.values[:] = vr
-            else:
-                clean = ~np.repeat(mask, sb_slots)
-                for i in np.flatnonzero(~clean).tolist():
-                    vr[i] = 0  # drop sentinels before the array store
-                engine.values[clean] = np.asarray(
-                    vr, dtype=engine.values.dtype)[clean]
+                continue
+            ids = np.flatnonzero(mask)
+            # The whole batch landing in one superblock: usually safe.
+            if not row.engine.may_saturate(
+                    ids, np.full(ids.size, batch, dtype=np.int64)).any():
+                continue
+            inflow = np.zeros(mask.size, dtype=np.int64)
+            np.add.at(inflow, sb, values)
+            risky = np.zeros(mask.size, dtype=bool)
+            risky[ids] = row.engine.may_saturate(ids, inflow[ids])
+            if risky.any():
+                bad = risky[sb]
+                fusable = ~bad if fusable is None else fusable & ~bad
+        return fusable
+
+    def _schedule(self, items, values, idx_arrays, masks) -> None:
+        """The vector-engine wave schedule of :meth:`update_many`."""
+        rows = self.rows
+        level_top = rows[0].max_level
+        keys, reads, dirty, sbs = [], [], [], []
+        for row, idxs, mask in zip(rows, idx_arrays, masks):
+            starts = row.engine.starts[idxs]
+            if mask is None:
+                keys.append(starts)
+                reads.append(starts)
+                dirty.append(None)
+                sbs.append(None)
+                continue
+            sb = idxs >> level_top
+            hit = mask[sb]
+            sbs.append(sb)
+            keys.append(np.where(hit, self.w + sb, starts))
+            # A dirty block keeps its value on every slot (the engine
+            # writes whole blocks), so it is read at the slot itself.
+            reads.append(np.where(hit, idxs, starts))
+            dirty.append(hit)
+        stores = [row.engine.values for row in rows]
+        per_row = list(zip(rows, reads, dirty, stores))
+
+        def wave(pos, vals):
+            slots = [read[pos] for read in reads]
+            cur = [store[j] for store, j in zip(stores, slots)]
+            est = cur[0]
+            for c in cur[1:]:
+                est = np.minimum(est, c)
+            # No wrap: an update with a clean row has uint64 room there.
+            target = est + vals.astype(np.uint64)
+            for (row, _read, hit, store), j, c in zip(per_row, slots, cur):
+                k = () if hit is None else np.flatnonzero(hit[pos])
+                if not len(k):
+                    store[j] = np.maximum(c, target)
+                    continue
+                clean = ~hit[pos]
+                store[j[clean]] = np.maximum(c[clean], target[clean])
+                # The wave's raises touch distinct superblocks, and
+                # every read above is done: they may go in any order.
+                for i in k.tolist():
+                    value = int(est[i]) + int(vals[i])
+                    if int(c[i]) < value:
+                        row.set_at_least(int(j[i]), value)
+
+        def walk(pos, vals):
+            lanes = [(row, read[pos].tolist(),
+                      None if hit is None else hit[pos].tolist(), store)
+                     for row, read, hit, store in per_row]
+            for k, v in enumerate(vals.tolist()):
+                cur = [int(store[read[k]])
+                       for _row, read, _hit, store in lanes]
+                target = min(cur) + v
+                for (row, read, hit, store), c in zip(lanes, cur):
+                    if c >= target:
+                        continue
+                    if hit is not None and hit[k]:
+                        row.set_at_least(read[k], target)
+                    else:
+                        store[read[k]] = target
+
+        conservative_schedule(keys, self.w + (self.w >> level_top), items,
+                              values, wave, walk,
+                              self._fusable(values, sbs, masks))
+        for row, store in zip(rows, stores):
+            store[:] = store[row.engine.starts]
 
     def query_many(self, items) -> list:
         """Batched query: deduped keys, one hash call per row."""

@@ -22,7 +22,13 @@ performs the whole batch in a constant number of NumPy operations:
   :func:`median_over_rows` -- the query-side gathers and row
   aggregations (:func:`repro.sketches.base.batched_min_query` and
   :func:`~repro.sketches.base.batched_median_query` reduce with the
-  latter two).
+  latter two);
+* :func:`conservative_schedule` -- the conservative-update door, shared
+  by the fixed-width CUS and SALSA-CUS rows: exact repeat fusion, then
+  conflict-free waves the sketch runs as vector steps, then a short
+  stream-order tail;
+* :func:`stable_argsort` -- the stable key sort behind that schedule
+  and the SALSA rows' dirty replay, radix-sorting narrow keys.
 
 The duplicate pre-aggregation front door is shared with the rest of
 the batch pipeline: callers dedup keys with
@@ -178,3 +184,105 @@ def scatter_add_running(mat: np.ndarray, idx2d: np.ndarray,
     running = np.empty(total, dtype=run_sorted.dtype)
     running[order] = run_sorted
     return running.reshape(d, n)
+
+
+def stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of integer keys in ``[0, bound)``.
+
+    Keys below ``2^16`` sort as uint16, which NumPy radix-sorts
+    (several times faster than its int64 merge sort on a batch of
+    thousands); stability makes the order identical either way.
+    """
+    if bound <= 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
+
+
+#: A wave narrower than this ends the vectorised schedule: walking the
+#: updates left in Python costs less than a vector step per few of them.
+_NARROW_WAVE = 16
+
+
+def _predecessors(key: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """For each entry, the last earlier entry with the same key (-1 if
+    none), given ``order``, the stable key order."""
+    ks = key[order]
+    prev = np.empty(order.size, dtype=np.int64)
+    prev[order[0]] = -1
+    prev[order[1:]] = np.where(ks[1:] == ks[:-1], order[:-1], -1)
+    return prev
+
+
+def conservative_schedule(keys, bound: int, items: np.ndarray,
+                          values: np.ndarray, wave, walk,
+                          fusable=None) -> None:
+    """Run a conservative-update batch as fused, conflict-free waves.
+
+    ``keys[r][t]`` (in ``[0, bound)``) names what update ``t`` touches
+    in row ``r``: updates sharing a key in some row conflict and keep
+    their stream order; updates sharing none touch disjoint counters
+    and commute.  The schedule is a topological order of the conflicts,
+    so it is bit-identical to the stream-order walk:
+
+    1. *Fusion.*  Update ``t`` folds into the previous update of its
+       item when, in every row, that update is the last earlier one
+       with ``t``'s key: the updates in between commute with ``t``, and
+       ``update(x, a); update(x, b) == update(x, a + b)``.  Updates
+       with ``fusable[t]`` False never fold.  A chain of folds is a run
+       of row 0's stable key order, so one segmented sum fuses it.
+    2. *Waves.*  ``wave(pos, vals)`` runs every remaining update whose
+       per-row predecessors are all done: at most one per key per row,
+       so its updates touch disjoint counters and run as one step.
+    3. *Tail.*  Once a wave is narrower than :data:`_NARROW_WAVE`,
+       ``walk(pos, vals)`` takes every update left, in stream order;
+       that set holds every later dependent of its members.
+
+    ``pos`` are the ascending stream positions of the fused updates
+    and ``vals`` their summed values.
+    """
+    n = len(items)
+    orders = [stable_argsort(key, bound) for key in keys]
+    prevs = [_predecessors(key, order) for key, order in zip(keys, orders)]
+    prev = prevs[0]
+    fold = (prev >= 0) & (items[prev] == items)
+    for other in prevs[1:]:
+        fold &= other == prev
+    if fusable is not None:
+        fold &= fusable
+    # A chain of folds is a run of row 0's key order: its head is the
+    # root, which takes the run's summed value.
+    head = ~fold[orders[0]]
+    heads = np.flatnonzero(head)
+    roots = orders[0][heads]
+    # root[t]: the update t folds into (slot n stands for "none").
+    root = np.empty(n + 1, dtype=np.int64)
+    root[orders[0]] = roots[np.cumsum(head) - 1]
+    root[n] = n
+    is_root = np.zeros(n, dtype=bool)
+    is_root[roots] = True
+    pos = np.flatnonzero(is_root)
+    m = pos.size
+    rank = np.empty(n + 1, dtype=np.int64)
+    rank[pos] = np.arange(m)
+    rank[n] = m
+    summed = np.zeros(n, dtype=np.int64)
+    summed[roots] = np.add.reduceat(values[orders[0]], heads)
+    vals = summed[pos]
+    # Root i's predecessor in row r (m: none) is the root that its
+    # last earlier same-key update folded into: nothing between a root
+    # and its folded repeats shares their keys.
+    preds = [rank[root[prev[pos]]] for prev in prevs]
+    done = np.zeros(m + 1, dtype=bool)
+    done[m] = True
+    pending = np.arange(m)
+    while pending.size:
+        ready = done[preds[0][pending]]
+        for pred in preds[1:]:
+            ready &= done[pred[pending]]
+        batch = pending[ready]
+        if batch.size < _NARROW_WAVE:
+            walk(pos[pending], vals[pending])
+            return
+        wave(pos[batch], vals[batch])
+        done[batch] = True
+        pending = pending[~ready]

@@ -19,9 +19,9 @@ from repro.sketches.base import (
     StreamModel,
     batch_door,
     batched_min_query,
-    collapse_runs,
     width_for_memory,
 )
+from repro.sketches._kernels import conservative_schedule
 
 
 class ConservativeUpdateSketch(BatchOpsMixin):
@@ -92,29 +92,46 @@ class ConservativeUpdateSketch(BatchOpsMixin):
     # ------------------------------------------------------------------
     # batch pipeline
     # ------------------------------------------------------------------
-    @batch_door(positive=True)
+    @batch_door(positive=True,
+                per_item=lambda self, values: self.counter_bits > 62)
     def update_many(self, items, values) -> None:
-        """Batched conservative update.
-
-        The pre-update minimum couples rows, so the walk stays ordered;
-        consecutive duplicate runs fuse exactly
+        """Batched conservative update on the shared conservative
+        schedule (:func:`~repro.sketches._kernels.conservative_schedule`):
+        a row's key is the update's counter, repeats fuse exactly
         (``update(x, a); update(x, b) == update(x, a + b)``, with the
-        saturating cap absorbing) and all hashing vectorizes up front.
+        saturating cap absorbing), each wave is one gather-min, a
+        capped add and an ``np.maximum`` store, and the narrow tail
+        walks in stream order.  Counters of more than 62 bits take the
+        per-item loop, so ``min + value`` never wraps int64.
         """
-        items, values = collapse_runs(items, values)
-        idx_rows = [self.hashes.index_many(items, row_id, self.w).tolist()
-                    for row_id in range(self.d)]
-        rows = self.rows
+        idx_arrays = [self.hashes.index_many(items, row_id, self.w)
+                      for row_id in range(self.d)]
+        stores = [np.frombuffer(row, dtype=np.int64) for row in self.rows]
         cap = self.cap
-        for t, v in enumerate(values.tolist()):
-            idxs = [idx_row[t] for idx_row in idx_rows]
-            est = min(row[j] for row, j in zip(rows, idxs))
-            target = est + v
-            if target > cap:
-                target = cap
-            for row, j in zip(rows, idxs):
-                if row[j] < target:
-                    row[j] = target
+
+        def wave(pos, vals):
+            idxs = [idx[pos] for idx in idx_arrays]
+            cur = [store[j] for store, j in zip(stores, idxs)]
+            est = cur[0]
+            for c in cur[1:]:
+                est = np.minimum(est, c)
+            target = np.minimum(est + vals, cap)
+            for store, j, c in zip(stores, idxs, cur):
+                store[j] = np.maximum(c, target)
+
+        def walk(pos, vals):
+            rows = self.rows
+            idx_rows = [idx[pos].tolist() for idx in idx_arrays]
+            for t, v in enumerate(vals.tolist()):
+                idxs = [idx_row[t] for idx_row in idx_rows]
+                target = min(row[j] for row, j in zip(rows, idxs)) + v
+                if target > cap:
+                    target = cap
+                for row, j in zip(rows, idxs):
+                    if row[j] < target:
+                        row[j] = target
+
+        conservative_schedule(idx_arrays, self.w, items, values, wave, walk)
 
     def query_many(self, items) -> list:
         """Fully vectorized batch query (min over row gathers)."""

@@ -103,41 +103,38 @@ class PyramidSketch(BatchOpsMixin):
         return bits + width * delta
 
     # ------------------------------------------------------------------
-    def _carry(self, layer: int, idx: int) -> None:
-        """Propagate an overflow from (layer, idx) into its parent."""
-        if layer + 1 >= self.n_layers:
-            # Top layer saturates; nothing above to carry into.
-            self.values[layer][idx] = (
-                self._layer1_cap if layer == 0 else self._upper_cap
-            )
-            return
-        parent = idx >> 1
-        self.flags[layer + 1][parent] |= 1 << (idx & 1)
-        new = self.values[layer + 1][parent] + 1
-        if new > self._upper_cap:
-            self.values[layer + 1][parent] = 0
-            self._carry(layer + 1, parent)
-        else:
-            self.values[layer + 1][parent] = new
+    def _add(self, idx: int, k: int) -> None:
+        """Apply ``k`` unit increments to layer-1 counter ``idx``.
 
-    def _increment(self, idx: int) -> None:
-        vals = self.values[0]
-        new = vals[idx] + 1
-        if new > self._layer1_cap:
-            vals[idx] = 0
-            self._carry(0, idx)
-        else:
-            vals[idx] = new
+        A layer counter counts in base ``cap + 1``: ``k`` increments
+        leave it at ``(old + k) mod (cap + 1)`` and carry
+        ``(old + k) // (cap + 1)`` units into its parent, setting the
+        parent's child flag; the top layer saturates at its cap.  So
+        any ``k`` costs one step per layer (Python ints: no wrap).
+        """
+        top = self.n_layers - 1
+        for layer in range(self.n_layers):
+            vals = self.values[layer]
+            cap = self._layer1_cap if layer == 0 else self._upper_cap
+            total = vals[idx] + k
+            if layer == top:
+                vals[idx] = min(total, cap)
+                return
+            vals[idx] = total & cap
+            k = total >> cap.bit_length()
+            if not k:
+                return
+            self.flags[layer + 1][idx >> 1] |= 1 << (idx & 1)
+            idx >>= 1
 
     def update(self, item: int, value: int = 1) -> None:
-        """Unit-increment each of the item's layer-1 counters."""
+        """Add ``value`` unit increments to each of the item's layer-1
+        counters."""
         if value < 1:
             raise ValueError("Pyramid is a Cash Register sketch")
         mask = self.w1 - 1
         for seed in self.hashes.seeds:
-            idx = mix64(item ^ seed) & mask
-            for _ in range(value):
-                self._increment(idx)
+            self._add(mix64(item ^ seed) & mask, value)
 
     def _reconstruct(self, idx: int) -> int:
         """Read the full value rooted at layer-1 counter ``idx``."""

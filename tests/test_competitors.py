@@ -59,11 +59,8 @@ class TestPyramid:
         the variance mechanism of Fig 9 region A."""
         p = PyramidSketch(w1=4, d=1, delta=8, layers=3, seed=0)
         # Force both children of parent 0 to carry.
-        p._increment(0)
-        for _ in range(256):
-            p._increment(0)
-        for _ in range(256):
-            p._increment(1)
+        p._add(0, 257)
+        p._add(1, 256)
         # Counter 0 reads its own count plus the sibling's carried MSBs.
         assert p._reconstruct(0) > 257
 
@@ -79,6 +76,30 @@ class TestPyramid:
         p = PyramidSketch(w1=8, d=1, delta=4, seed=5)
         p.update(1, 10_000_000)
         assert p.query(1) < 10_000_000  # saturated, no layer left
+
+    @pytest.mark.parametrize("value", [1, 2, 15, 16, 17, 255, 256, 1000,
+                                       70_000])
+    @pytest.mark.parametrize("delta", [4, 8])
+    def test_weighted_update_equals_unit_updates(self, value, delta):
+        """``update(x, v)`` lands in the state of ``v`` unit updates:
+        counters, carries and child flags of every layer."""
+        weighted = PyramidSketch(w1=16, d=3, delta=delta, seed=7)
+        units = PyramidSketch(w1=16, d=3, delta=delta, seed=7)
+        for x in (3, 9, 3):
+            weighted.update(x, value)
+            for _ in range(value):
+                units.update(x)
+        assert [list(v) for v in weighted.values] == \
+               [list(v) for v in units.values]
+        assert weighted.flags == units.flags
+
+    def test_huge_weighted_update_returns(self):
+        """One step per layer, not per unit: 2^62 returns at once."""
+        p = PyramidSketch(w1=64, d=4, seed=1)
+        p.update(1, 2 ** 62)
+        q = PyramidSketch(w1=64, d=4, seed=1)
+        q.update_many([1], [2 ** 62])
+        assert p.query(1) == q.query(1) > 0
 
 
 class TestAbc:
